@@ -1,5 +1,7 @@
 // Command benchmark regenerates the paper's experimental figures and
-// tables. See DESIGN.md §4 for the experiment index.
+// tables. The experiment index is bench.Figures (internal/bench): one ID
+// per panel of Figure 8, plus the in-text tables and the ablation,
+// durability and distribution experiments.
 //
 // Usage:
 //

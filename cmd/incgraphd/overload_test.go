@@ -200,6 +200,37 @@ func TestCommitGateShedsWhenQueueFull(t *testing.T) {
 	c2.cmd(t, "commit")
 }
 
+// TestBackToBackCommitsNeverShed pins the admission ordering: the commit
+// slot is released before the reply is written. On a 1-slot, 0-queue
+// gate, 200 commits run back to back, and at the moment each reply is
+// written the next commit's admission — what a client that commits again
+// as soon as it reads the reply hits — must succeed.
+func TestBackToBackCommitsNeverShed(t *testing.T) {
+	srv, _ := testServer(t, limits{commitSlots: 1})
+	const commits = 200
+	for i := 0; i < commits; i++ {
+		v := incgraph.NodeID(20000 + 2*i)
+		var replies []string
+		var next error
+		shed, alive := srv.commit(incgraph.Batch{incgraph.InsNew(v, v+1, "a", "a")}, func(format string, args ...any) bool {
+			replies = append(replies, fmt.Sprintf(format, args...))
+			if next = srv.commitGate.enter(); next == nil {
+				srv.commitGate.exit()
+			}
+			return true
+		})
+		if shed || !alive || len(replies) != 1 || !strings.HasPrefix(replies[0], "ok applied 1 ") {
+			t.Fatalf("commit %d: shed=%v alive=%v replies=%q", i, shed, alive, replies)
+		}
+		if next != nil {
+			t.Fatalf("commit %d: the next commit was shed at reply time: %v", i, next)
+		}
+	}
+	if admitted, shed, _ := srv.commitGate.stats(); shed != 0 || admitted != 2*commits {
+		t.Fatalf("commit gate admitted %d, shed %d; want %d, 0", admitted, shed, 2*commits)
+	}
+}
+
 // TestSlowLorisCut drives a byte-at-a-time client against a primary and a
 // standby: the per-line deadline must cut it, the connection count must
 // return to zero, and concurrent healthy clients' query latency must stay

@@ -563,16 +563,52 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 	if s.commitGate.enter() != nil {
 		return true, replyErr(reply, catOverloaded, "commit queue full; retry in %dms", retryHintMS)
 	}
-	defer s.commitGate.exit()
+	sums, gen, err := s.commitAdmitted(batch, cl, hub)
+	// Release the slot before any reply is written: a client that commits
+	// again the moment it reads the reply must find the slot free, or the
+	// retry the reply advertises would be shed.
+	s.commitGate.exit()
+	if err != nil {
+		if errors.Is(err, incgraph.ErrClusterOverloaded) {
+			s.clusterShed.Add(1)
+			return true, replyErr(reply, catOverloaded, "shards busy past the op deadline; retry in %dms", retryHintMS)
+		}
+		if errors.Is(err, errDiskDegraded) {
+			// The append retries were exhausted and the daemon just went
+			// read-only. Nothing was logged or applied, so this commit is a
+			// shed like the ones the read-only check above refuses: the
+			// batch stays staged and the same reply tells the client why.
+			s.diskShed.Add(1)
+			return true, replyErr(reply, catDisk, "degraded; read-only; retry in %dms", retryHintMS)
+		}
+		if errors.Is(err, incgraph.ErrClusterFenced) {
+			// A worker at a higher fencing term refused phase 1: this
+			// coordinator was deposed. The batch was not applied anywhere.
+			return false, replyErr(reply, catFenced, "commit rejected: %v", err)
+		}
+		if !errors.Is(err, incgraph.ErrBadUpdate) {
+			s.commitErrs.Add(1)
+			log.Printf("commit failed: %v", err)
+		}
+		return false, replyErr(reply, catStaged, "commit failed: %v", err)
+	}
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "ok applied %d gen=%d", len(batch), gen)
+	for i, m := range s.d.Engines() {
+		fmt.Fprintf(&sb, " %s=%s", m.Class(), sums[i])
+	}
+	return false, reply("%s", sb.String())
+}
+
+// commitAdmitted runs an admitted commit through Durable.Commit — the
+// cluster or the single-process schedule — and returns ΔO per class and
+// the generation the batch produced. It writes no reply.
+func (s *server) commitAdmitted(batch incgraph.Batch, cl *incgraph.Cluster, hub *incgraph.ClusterHub) (sums []incgraph.DeltaSummary, gen uint64, err error) {
 	var deadline time.Time
 	if s.lim.opTimeout > 0 {
 		deadline = time.Now().Add(s.lim.opTimeout)
 	}
-	var (
-		sums []incgraph.DeltaSummary
-		err  error
-	)
-	var preGen, gen, seq uint64
+	var preGen, seq uint64
 	// Both deployment shapes drive Durable.Commit through the same two
 	// hooks. logHook swaps the bare WAL append for the disk-degradation
 	// retry loop; applyHook wraps the in-memory apply with the read lock,
@@ -638,10 +674,6 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 				return applyHook(apply)
 			},
 		})
-		if errors.Is(err, incgraph.ErrClusterOverloaded) {
-			s.clusterShed.Add(1)
-			return true, replyErr(reply, catOverloaded, "shards busy past the op deadline; retry in %dms", retryHintMS)
-		}
 	default:
 		// Single process: commitMu around the whole validate+log+apply
 		// keeps WAL order equal to commit order, and (with standbys) the
@@ -657,32 +689,7 @@ func (s *server) commit(batch incgraph.Batch, reply func(string, ...any) bool) (
 		}
 		s.commitMu.Unlock()
 	}
-	if err != nil {
-		if errors.Is(err, errDiskDegraded) {
-			// The append retries were exhausted and the daemon just went
-			// read-only. Nothing was logged or applied, so this commit is a
-			// shed like the ones the read-only check above refuses: the
-			// batch stays staged and the same reply tells the client why.
-			s.diskShed.Add(1)
-			return true, replyErr(reply, catDisk, "degraded; read-only; retry in %dms", retryHintMS)
-		}
-		if errors.Is(err, incgraph.ErrClusterFenced) {
-			// A worker at a higher fencing term refused phase 1: this
-			// coordinator was deposed. The batch was not applied anywhere.
-			return false, replyErr(reply, catFenced, "commit rejected: %v", err)
-		}
-		if !errors.Is(err, incgraph.ErrBadUpdate) {
-			s.commitErrs.Add(1)
-			log.Printf("commit failed: %v", err)
-		}
-		return false, replyErr(reply, catStaged, "commit failed: %v", err)
-	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "ok applied %d gen=%d", len(batch), gen)
-	for i, m := range s.d.Engines() {
-		fmt.Fprintf(&sb, " %s=%s", m.Class(), sums[i])
-	}
-	return false, reply("%s", sb.String())
+	return sums, gen, err
 }
 
 // logWithRetry is the WAL append under the disk-degradation contract:

@@ -44,6 +44,15 @@
 //     graph's mutation generation (Graph.Generation): repeated reads
 //     between updates are O(1), and any mutation implicitly invalidates
 //     them. The returned slices are shared; treat them as read-only.
+//   - The canonical answer bytes of all four classes
+//     (Maintained.WriteAnswer) are memoized the same way, rendered lazily
+//     with strconv into one exactly sized buffer: the first read after a
+//     commit pays an O(|Q(G)|) render, later reads in that generation pay
+//     a copy, and commits do no render work. SCC renders without sorting
+//     its partition: one pass over the ascending node IDs buckets each
+//     node into its component's run, reserved when the component is first
+//     seen, which yields components by smallest member with members
+//     ascending.
 //   - Adjacency is hybrid: sorted []NodeID slices for low-degree nodes,
 //     promoted to hash sets past a degree threshold (with hysteresis on
 //     the way back down). Iteration is a cache-friendly linear scan and
@@ -323,6 +332,7 @@
 //	delta, _ := e.Apply(incgraph.Batch{incgraph.Del(1, 2)})
 //	_ = delta.Removed // [(1,2)]
 //
-// See README.md for the architecture overview and EXPERIMENTS.md for the
-// reproduction of the paper's evaluation.
+// The reproduction of the paper's evaluation is cmd/benchmark (the
+// figures and tables of Section 6, built by internal/bench); the serving
+// benchmark is e2ebench, documented in e2ebench/README.md.
 package incgraph

@@ -14,13 +14,13 @@ import (
 
 // updates builds a ρ=1 random batch of the given size. Insertions are 80%
 // topology-local (2-hop shortcuts), matching how real edges arrive; see
-// gen.UpdateSpec.Locality and EXPERIMENTS.md.
+// gen.UpdateSpec.Locality.
 func updates(g *graph.Graph, count int, seed int64) graph.Batch {
 	return gen.Updates(g, gen.UpdateSpec{Count: count, InsertRatio: 0.5, Locality: 1.0, Seed: seed})
 }
 
 // Dataset scales per query class: RPQ and ISO carry heavier per-node costs,
-// so their panels run on smaller simulations (see DESIGN.md §5(1)).
+// so their panels run on smaller simulations.
 const (
 	kwsScale = 1.0
 	rpqScale = 0.05
@@ -147,11 +147,13 @@ func varyDeltaFigure(cfg Config, id, title, dataset string, dsScale float64, mk 
 	}
 	switch title {
 	case "RPQ":
-		// RPQ panels fold the alphabet to 5 labels; see EXPERIMENTS.md.
+		// RPQ panels fold the alphabet to 5 labels, so random queries
+		// have non-empty answers on the simulated graphs.
 		g = gen.Relabel(g, 5)
 	case "ISO":
 		// ISO panels fold the alphabet to 6 and add short-range clustering
-		// so motifs have non-trivial embeddings; see EXPERIMENTS.md.
+		// so motifs have non-trivial embeddings (uniformly random sparse
+		// graphs contain almost none; see gen.Densify).
 		g = gen.Densify(gen.Relabel(g, 6), g.NumEdges()/2, cfg.Seed+50)
 	}
 	g = cfg.tune(g)
@@ -530,7 +532,7 @@ var registry = map[string]func(Config) (*Result, error){
 	"replication": figReplication,
 }
 
-// figAblation measures the design choices DESIGN.md calls out: the
+// figAblation measures the two design choices behind IncSCC's cost: the
 // tree-arc re-parenting fast path of IncSCC− (on/off) on the giant-SCC
 // workload, and the insertion-locality sensitivity of IncSCC+ (local
 // shortcut insertions vs uniform random ones, which trigger rank-window
@@ -586,6 +588,6 @@ func figAblation(cfg Config) (*Result, error) {
 	}
 	res.Series = []Series{line}
 	res.Notes = append(res.Notes,
-		"tree-arc re-parenting and insertion locality are the two levers behind IncSCC's profile; see EXPERIMENTS.md")
+		"tree-arc re-parenting and insertion locality are the two levers behind IncSCC's profile")
 	return res, nil
 }

@@ -1,9 +1,11 @@
 // Package gen provides the workload machinery of the experimental study
 // (Section 6): synthetic graph generation, scaled-down simulations of the
-// paper's real-life datasets (DBpedia and LiveJournal — see DESIGN.md §5
-// for the substitution rationale), random update streams ΔG controlled by
-// size and insert/delete ratio ρ, and query generators for KWS, RPQ and
-// ISO controlled by the same parameters the paper varies.
+// paper's real-life datasets (DBpedia and LiveJournal; the simulations
+// keep the properties the algorithms' costs depend on — label count and
+// skew, density, acyclicity or a giant SCC — at a fraction of the size),
+// random update streams ΔG controlled by size and insert/delete ratio ρ,
+// and query generators for KWS, RPQ and ISO controlled by the same
+// parameters the paper varies.
 package gen
 
 import (
@@ -133,7 +135,9 @@ func Synthetic(spec GraphSpec) *graph.Graph {
 
 // Dataset returns one of the named workload graphs at the given scale
 // (1.0 = the default benchmark size; the paper's originals are 2–3 orders
-// of magnitude larger, see DESIGN.md §5(1)).
+// of magnitude larger, so the harness reproduces the shapes of the
+// results — who wins, by what factor, where crossovers fall — rather
+// than absolute times).
 //
 //	dbpedia   — 495 labels, E/V ≈ 3, mostly acyclic (knowledge graph)
 //	livej     — 100 labels, E/V ≈ 5, giant scc through 77% of nodes
@@ -311,7 +315,7 @@ func RPQQuery(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 // fully random expressions — whose language intersection with a uniformly
 // labeled graph is almost always empty — the star over a label union keeps
 // the product graph supercritical, so batch and incremental evaluation both
-// do real work (see EXPERIMENTS.md).
+// do real work.
 func RPQDense(g *graph.Graph, size int, seed int64) (*rex.Ast, error) {
 	if size < 3 {
 		return RPQQuery(g, size, seed)

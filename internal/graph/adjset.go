@@ -1,10 +1,9 @@
 package graph
 
-import "sort"
-
-func sortNodeIDs(vs []NodeID) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-}
+import (
+	"slices"
+	"sort"
+)
 
 // adjSet is one adjacency list with a hybrid representation:
 //
@@ -103,7 +102,7 @@ func (a *adjSet) remove(v NodeID) bool {
 			for w := range a.set {
 				a.list = append(a.list, w)
 			}
-			sortNodeIDs(a.list)
+			slices.Sort(a.list)
 			a.set = nil
 			a.dirty = false
 		}
@@ -148,7 +147,7 @@ func (a *adjSet) sorted() []NodeID {
 		for v := range a.set {
 			a.list = append(a.list, v)
 		}
-		sortNodeIDs(a.list)
+		slices.Sort(a.list)
 		a.dirty = false
 	}
 	return a.list

@@ -3,11 +3,12 @@ package graph
 import "sync/atomic"
 
 // Generation-stamped answer caches. Derived answers that are expensive to
-// materialize (sorted edge lists, sorted match sets) but stable between
-// mutations are memoized against Graph.Generation: a read that finds a
-// stamp matching the current generation returns the cached value in O(1),
-// and any mutation implicitly invalidates every cache by bumping the
-// generation — no registration or explicit invalidation needed.
+// materialize (sorted edge lists, sorted match sets, the engines' rendered
+// canonical answer bytes) but stable between mutations are memoized
+// against Graph.Generation: a read that finds a stamp matching the current
+// generation returns the cached value in O(1), and any mutation implicitly
+// invalidates every cache by bumping the generation — no registration or
+// explicit invalidation needed.
 //
 // Concurrency: the cache is safe under the package's read-share contract.
 // Between mutations multiple readers may race to fill a cold cache; each

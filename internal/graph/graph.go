@@ -50,8 +50,9 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -431,7 +432,7 @@ func (g *Graph) NodesSorted() []NodeID {
 			vs = append(vs, v)
 		}
 	}
-	sortNodeIDs(vs)
+	slices.Sort(vs)
 	return vs
 }
 
@@ -463,11 +464,11 @@ func (g *Graph) EdgesSorted() []Edge {
 	return g.edgesSorted.Get(g, func() []Edge {
 		es := make([]Edge, 0, g.edges)
 		g.Edges(func(e Edge) bool { es = append(es, e); return true })
-		sort.Slice(es, func(i, j int) bool {
-			if es[i].From != es[j].From {
-				return es[i].From < es[j].From
+		slices.SortFunc(es, func(a, b Edge) int {
+			if c := cmp.Compare(a.From, b.From); c != 0 {
+				return c
 			}
-			return es[i].To < es[j].To
+			return cmp.Compare(a.To, b.To)
 		})
 		return es
 	})

@@ -3,6 +3,7 @@ package graph
 import (
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -201,7 +202,7 @@ func (g *Graph) ShardNodesSorted(s int) []NodeID {
 	for v := range sh.nodes {
 		out = append(out, v)
 	}
-	sortNodeIDs(out)
+	slices.Sort(out)
 	return out
 }
 

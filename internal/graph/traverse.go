@@ -1,5 +1,7 @@
 package graph
 
+import "slices"
+
 // This file contains the traversal primitives shared by the batch and
 // incremental algorithms: directed and undirected BFS, d-hop neighborhoods
 // (Section 4.1 of the paper), and reachability probes.
@@ -212,7 +214,7 @@ func (g *Graph) UndirectedComponents() [][]NodeID {
 			rec.out.forEach(grow)
 			rec.in.forEach(grow)
 		}
-		sortNodeIDs(comp)
+		slices.Sort(comp)
 		comps = append(comps, comp)
 	}
 	return comps

@@ -1,10 +1,10 @@
 package iso
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -24,6 +24,8 @@ type Index struct {
 	// sorted memoizes Matches against the graph mutation generation (the
 	// match set only moves inside Apply*, which mutates the graph first).
 	sorted graph.GenCache[[]Match]
+	// answer memoizes the WriteAnswer bytes the same way.
+	answer graph.GenCache[[]byte]
 	// lastEst records the repair-vs-batch decision of the most recent
 	// Apply (cost-based fallback); see Apply and LastEstimate.
 	lastEst cost.Estimate
@@ -125,7 +127,7 @@ func (ix *Index) Matches() []Match {
 		for k := range ix.matches {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		out := make([]Match, len(keys))
 		for i, k := range keys {
 			out[i] = ix.matches[k]
@@ -139,23 +141,29 @@ func (ix *Index) Matches() []Match {
 // canonical-key order. Identical match sets produce identical bytes
 // regardless of the path that computed them (build, incremental repair,
 // batch fallback, or recovery replay); the durability layer's parity
-// checks and the incgraphd answer dumps rely on this.
+// checks and the incgraphd answer dumps rely on this. The bytes are
+// rendered once per graph generation, by the first read after a mutation
+// (O(|Q(G)|)); later reads in that generation only write the cached
+// slice. Safe under the read-share contract.
 func (ix *Index) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, m := range ix.Matches() {
-		if _, err := bw.WriteString("match"); err != nil {
-			return err
-		}
-		for _, v := range m {
-			if _, err := fmt.Fprintf(bw, " %d", v); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+	_, err := w.Write(ix.answer.Get(ix.g, ix.renderAnswer))
+	return err
+}
+
+// renderAnswer builds the WriteAnswer bytes in one exactly sized buffer.
+func (ix *Index) renderAnswer() []byte {
+	ms := ix.Matches()
+	size := 0
+	for _, m := range ms {
+		size += len("match\n") + graph.IntsLen(m)
 	}
-	return bw.Flush()
+	buf := make([]byte, 0, size)
+	for _, m := range ms {
+		buf = append(buf, "match"...)
+		buf = graph.AppendInts(buf, m)
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
 // Apply processes a batch ΔG with IncISO: deletions drop exactly the
@@ -403,8 +411,20 @@ func (d Delta) compact() Delta {
 	return out
 }
 
+// sortMatches orders ms by canonical key, computing each key once.
 func sortMatches(ms []Match) {
-	sort.Slice(ms, func(i, j int) bool { return ms[i].Key() < ms[j].Key() })
+	type keyed struct {
+		key string
+		m   Match
+	}
+	ks := make([]keyed, len(ms))
+	for i, m := range ms {
+		ks[i] = keyed{m.Key(), m}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int { return strings.Compare(a.key, b.key) })
+	for i, k := range ks {
+		ms[i] = k.m
+	}
 }
 
 // Check audits the index against a fresh VF2 run: identical match sets and

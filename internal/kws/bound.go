@@ -2,7 +2,7 @@ package kws
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"incgraph/internal/graph"
 	"incgraph/internal/pq"
@@ -69,6 +69,6 @@ func (ix *Index) MatchRootsWithin(b int) ([]graph.NodeID, error) {
 			roots = append(roots, v)
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+	slices.Sort(roots)
 	return roots, nil
 }

@@ -1,8 +1,9 @@
 package kws
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -104,12 +105,10 @@ func (t *touchTracker) delta() Delta {
 // every class). Both the incremental repair and the batch-fallback path
 // emit through it, so their deltas stay comparable.
 func (d *Delta) sortByRoot() {
-	byRoot := func(ms []Match) func(i, j int) bool {
-		return func(i, j int) bool { return ms[i].Root < ms[j].Root }
-	}
-	sort.Slice(d.Added, byRoot(d.Added))
-	sort.Slice(d.Updated, byRoot(d.Updated))
-	sort.Slice(d.Removed, func(i, j int) bool { return d.Removed[i] < d.Removed[j] })
+	byRoot := func(a, b Match) int { return cmp.Compare(a.Root, b.Root) }
+	slices.SortFunc(d.Added, byRoot)
+	slices.SortFunc(d.Updated, byRoot)
+	slices.Sort(d.Removed)
 }
 
 func intsEqual(a, b []int) bool {

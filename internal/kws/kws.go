@@ -17,10 +17,10 @@
 package kws
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -88,6 +88,8 @@ type Index struct {
 	// the match set only moves inside Apply*, which always mutates the
 	// graph first, so a matching stamp proves the sorted view is current.
 	roots graph.GenCache[[]graph.NodeID]
+	// answer memoizes the WriteAnswer bytes the same way.
+	answer graph.GenCache[[]byte]
 	// lastEst records the repair-vs-batch decision of the most recent
 	// Apply (cost-based fallback); see Apply and LastEstimate.
 	lastEst cost.Estimate
@@ -274,7 +276,7 @@ func (ix *Index) MatchRoots() []graph.NodeID {
 		for r := range ix.matches {
 			roots = append(roots, r)
 		}
-		sort.Slice(roots, func(i, j int) bool { return roots[i] < roots[j] })
+		slices.Sort(roots)
 		return roots
 	})
 }
@@ -297,23 +299,30 @@ func (ix *Index) NumMatches() int { return len(ix.matches) }
 // root, ascending, "root <id> <d1> <d2> ...". Identical answers always
 // produce identical bytes, whatever worker, shard or recovery path built
 // them — the durability layer's recovery-parity checks and the incgraphd
-// answer dumps both rely on this. Safe under the read-share contract.
+// answer dumps both rely on this. The bytes are rendered once per graph
+// generation, by the first read after a mutation (O(|Q(G)|)); later reads
+// in that generation only write the cached slice. Safe under the
+// read-share contract.
 func (ix *Index) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, r := range ix.MatchRoots() {
-		if _, err := fmt.Fprintf(bw, "root %d", r); err != nil {
-			return err
-		}
-		for _, d := range ix.matches[r] {
-			if _, err := fmt.Fprintf(bw, " %d", d); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+	_, err := w.Write(ix.answer.Get(ix.g, ix.renderAnswer))
+	return err
+}
+
+// renderAnswer builds the WriteAnswer bytes in one exactly sized buffer.
+func (ix *Index) renderAnswer() []byte {
+	roots := ix.MatchRoots()
+	size := 0
+	for _, r := range roots {
+		size += len("root \n") + graph.DecimalLen(int64(r)) + graph.IntsLen(ix.matches[r])
 	}
-	return bw.Flush()
+	buf := make([]byte, 0, size)
+	for _, r := range roots {
+		buf = append(buf, "root "...)
+		buf = strconv.AppendInt(buf, int64(r), 10)
+		buf = graph.AppendInts(buf, ix.matches[r])
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
 // Snapshot returns a copy of the match set, root → dist vector. Tests and

@@ -19,10 +19,11 @@
 package rpq
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -37,6 +38,14 @@ const Unreachable = int(1) << 30
 // label string is in L(Q).
 type Pair struct {
 	Src, Dst graph.NodeID
+}
+
+// comparePairs orders pairs by (Src, Dst): the canonical answer order.
+func comparePairs(a, b Pair) int {
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Dst, b.Dst)
 }
 
 // key identifies a product node (graph node, NFA state) within one source's
@@ -82,6 +91,8 @@ type Engine struct {
 	// sorted memoizes Matches against the graph mutation generation (the
 	// match set only moves inside Apply, which mutates the graph first).
 	sorted graph.GenCache[[]Pair]
+	// answer memoizes the WriteAnswer bytes the same way.
+	answer graph.GenCache[[]byte]
 	meter  *cost.Meter
 }
 
@@ -347,12 +358,7 @@ func (e *Engine) Matches() []Pair {
 		for p := range e.matches {
 			out = append(out, p)
 		}
-		sort.Slice(out, func(i, j int) bool {
-			if out[i].Src != out[j].Src {
-				return out[i].Src < out[j].Src
-			}
-			return out[i].Dst < out[j].Dst
-		})
+		slices.SortFunc(out, comparePairs)
 		return out
 	})
 }
@@ -361,15 +367,31 @@ func (e *Engine) Matches() []Pair {
 // "pair <src> <dst>", sorted by (Src, Dst). Identical answers produce
 // identical bytes regardless of how they were computed (build, repair, or
 // recovery replay); the durability layer's parity checks and the incgraphd
-// answer dumps rely on this. Safe under the read-share contract.
+// answer dumps rely on this. The bytes are rendered once per graph
+// generation, by the first read after a mutation (O(|Q(G)|)); later reads
+// in that generation only write the cached slice. Safe under the
+// read-share contract.
 func (e *Engine) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, p := range e.Matches() {
-		if _, err := fmt.Fprintf(bw, "pair %d %d\n", p.Src, p.Dst); err != nil {
-			return err
-		}
+	_, err := w.Write(e.answer.Get(e.g, e.renderAnswer))
+	return err
+}
+
+// renderAnswer builds the WriteAnswer bytes in one exactly sized buffer.
+func (e *Engine) renderAnswer() []byte {
+	pairs := e.Matches()
+	size := 0
+	for _, p := range pairs {
+		size += len("pair  \n") + graph.DecimalLen(int64(p.Src)) + graph.DecimalLen(int64(p.Dst))
 	}
-	return bw.Flush()
+	buf := make([]byte, 0, size)
+	for _, p := range pairs {
+		buf = append(buf, "pair "...)
+		buf = strconv.AppendInt(buf, int64(p.Src), 10)
+		buf = append(buf, ' ')
+		buf = strconv.AppendInt(buf, int64(p.Dst), 10)
+		buf = append(buf, '\n')
+	}
+	return buf
 }
 
 // BatchAnswer evaluates Q(G) from scratch and returns the match set: the

@@ -2,7 +2,7 @@ package rpq
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -46,16 +46,8 @@ func (d *Delta) finish() {
 		}
 	}
 	d.pending = nil
-	less := func(ps []Pair) func(i, j int) bool {
-		return func(i, j int) bool {
-			if ps[i].Src != ps[j].Src {
-				return ps[i].Src < ps[j].Src
-			}
-			return ps[i].Dst < ps[j].Dst
-		}
-	}
-	sort.Slice(d.Added, less(d.Added))
-	sort.Slice(d.Removed, less(d.Removed))
+	slices.SortFunc(d.Added, comparePairs)
+	slices.SortFunc(d.Removed, comparePairs)
 }
 
 // Apply processes a batch ΔG with IncRPQ. The batch is normalized; node
@@ -125,7 +117,7 @@ func (e *Engine) Apply(batch graph.Batch) (Delta, error) {
 	for src := range touched {
 		srcs = append(srcs, src)
 	}
-	sort.Slice(srcs, func(i, j int) bool { return srcs[i] < srcs[j] })
+	slices.Sort(srcs)
 	workers := e.g.Parallelism()
 	if workers > 1 {
 		e.g.PrepareConcurrentReads()

@@ -2,7 +2,6 @@ package scc
 
 import (
 	"fmt"
-	"sort"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -15,7 +14,10 @@ import (
 // paper observes: it maintains its reachability structures with full
 // (unpruned) searches over the contracted graph even when the output is
 // stable, and always re-runs a component-scoped Tarjan on intra-component
-// deletions. See DESIGN.md §5(4).
+// deletions. Those two traits — work proportional to the contracted graph
+// rather than to the change, and no certificate reuse on deletion — are
+// what the paper's comparison measures, so the stand-in keeps them and
+// omits the original algorithms' amortization machinery.
 type DynSCC struct {
 	g       *graph.Graph
 	comp    map[graph.NodeID]CompID
@@ -267,12 +269,7 @@ func (d *DynSCC) delete(u graph.Update) error {
 
 // ComponentsSorted returns the partition in canonical form.
 func (d *DynSCC) ComponentsSorted() [][]graph.NodeID {
-	out := make([][]graph.NodeID, 0, len(d.members))
-	for _, set := range d.members {
-		out = append(out, sortedMembers(set))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return splitRuns(canonicalPartition(d.g.NodesSorted(), d.comp, d.members))
 }
 
 // NumComponents returns the current component count.

@@ -1,8 +1,9 @@
 package scc
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"incgraph/internal/graph"
 )
@@ -69,7 +70,7 @@ func (dt *deltaTracker) delta(s *State) Delta {
 		d.Removed = append(d.Removed, m)
 	}
 	canon := func(cs [][]graph.NodeID) {
-		sort.Slice(cs, func(i, j int) bool { return cs[i][0] < cs[j][0] })
+		slices.SortFunc(cs, func(a, b []graph.NodeID) int { return cmp.Compare(a[0], b[0]) })
 	}
 	canon(d.Added)
 	canon(d.Removed)
@@ -150,7 +151,7 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 	for c := range intra {
 		comps = append(comps, c)
 	}
-	sort.Slice(comps, func(i, j int) bool { return comps[i] < comps[j] })
+	slices.Sort(comps)
 	for _, c := range comps {
 		var dels graph.Batch
 		for _, u := range intra[c] {
@@ -470,7 +471,7 @@ func (s *State) renumberAll() {
 	for c := range s.members {
 		ids = append(ids, c)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	res := Run(ids, func(c CompID, yield func(CompID) bool) {
 		for o := range s.gcOut[c] {
 			if !yield(o) {
@@ -609,7 +610,7 @@ func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) *CompID {
 			cand = append(cand, z)
 		}
 	}
-	sort.Slice(cand, func(i, j int) bool { return cand[i] < cand[j] })
+	slices.Sort(cand)
 	candSet := make(map[CompID]bool, len(cand))
 	for _, z := range cand {
 		candSet[z] = true
@@ -636,7 +637,7 @@ func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) *CompID {
 	for _, z := range cand {
 		pool = append(pool, s.rank[z])
 	}
-	sort.Float64s(pool)
+	slices.Sort(pool)
 	if cycle == nil {
 		s.reallocRank(affr, affl, pool)
 		return nil
@@ -653,7 +654,7 @@ func (s *State) byRank(set map[CompID]bool, excl map[CompID]bool) []CompID {
 			out = append(out, c)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return s.rank[out[i]] < s.rank[out[j]] })
+	slices.SortFunc(out, func(a, b CompID) int { return cmp.Compare(s.rank[a], s.rank[b]) })
 	return out
 }
 

@@ -1,9 +1,10 @@
 package scc
 
 import (
-	"bufio"
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"incgraph/internal/cost"
@@ -48,6 +49,10 @@ type State struct {
 	noRepair bool
 	next     CompID
 	meter    *cost.Meter
+	// answer memoizes the WriteAnswer bytes against the graph mutation
+	// generation: the partition only moves inside Apply*, which mutates
+	// the graph first.
+	answer graph.GenCache[[]byte]
 }
 
 // Build runs Tarjan once over g and constructs the maintained state.
@@ -156,19 +161,58 @@ func sortedMembers(set map[graph.NodeID]struct{}) []graph.NodeID {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	return out
+}
+
+// canonicalPartition lays a partition out in canonical order — components
+// ordered by smallest member, members ascending — as one flat member list
+// plus the start offset of each component's run (starts ends with
+// len(flat)). One pass over the ascending node IDs places every node into
+// its component's run, reserved when the component is first seen, so no
+// component list or member set is ever sorted. comp and members must be
+// duals covering exactly nodes.
+func canonicalPartition(nodes []graph.NodeID, comp map[graph.NodeID]CompID, members map[CompID]map[graph.NodeID]struct{}) (flat []graph.NodeID, starts []int) {
+	flat = make([]graph.NodeID, len(nodes))
+	starts = make([]int, 0, len(members)+1)
+	// cursor holds the next free slot of each multi-node component seen so
+	// far; a singleton's run is complete the moment it is reserved.
+	cursor := make(map[CompID]int)
+	next := 0
+	for _, v := range nodes {
+		c := comp[v]
+		at, seen := cursor[c]
+		if !seen {
+			at = next
+			size := len(members[c])
+			starts = append(starts, at)
+			next += size
+			if size == 1 {
+				flat[at] = v
+				continue
+			}
+		}
+		flat[at] = v
+		cursor[c] = at + 1
+	}
+	return flat, append(starts, next)
+}
+
+// splitRuns cuts canonicalPartition's flat list into one slice per
+// component. The slices share flat's backing array, each capped at its
+// own run.
+func splitRuns(flat []graph.NodeID, starts []int) [][]graph.NodeID {
+	out := make([][]graph.NodeID, len(starts)-1)
+	for i := range out {
+		out[i] = flat[starts[i]:starts[i+1]:starts[i+1]]
+	}
 	return out
 }
 
 // ComponentsSorted returns the current partition in canonical form:
 // members sorted, components ordered by smallest member.
 func (s *State) ComponentsSorted() [][]graph.NodeID {
-	out := make([][]graph.NodeID, 0, len(s.members))
-	for _, set := range s.members {
-		out = append(out, sortedMembers(set))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
+	return splitRuns(canonicalPartition(s.g.NodesSorted(), s.comp, s.members))
 }
 
 // WriteAnswer serializes SCC(G) in canonical text form: one line per
@@ -176,22 +220,26 @@ func (s *State) ComponentsSorted() [][]graph.NodeID {
 // by smallest member. Identical partitions produce identical bytes
 // whatever update path produced them; the durability layer's
 // recovery-parity checks and the incgraphd answer dumps rely on this.
+//
+// The bytes are rendered once per graph generation, by the first read
+// after a mutation (O(|V|)); later reads in that generation only write
+// the cached slice. Safe under the read-share contract.
 func (s *State) WriteAnswer(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, c := range s.ComponentsSorted() {
-		if _, err := bw.WriteString("comp"); err != nil {
-			return err
-		}
-		for _, v := range c {
-			if _, err := fmt.Fprintf(bw, " %d", v); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
+	_, err := w.Write(s.answer.Get(s.g, s.renderAnswer))
+	return err
+}
+
+// renderAnswer builds the WriteAnswer bytes in one exactly sized buffer.
+func (s *State) renderAnswer() []byte {
+	flat, starts := canonicalPartition(s.g.NodesSorted(), s.comp, s.members)
+	comps := len(starts) - 1
+	buf := make([]byte, 0, comps*len("comp\n")+graph.IntsLen(flat))
+	for i := 0; i < comps; i++ {
+		buf = append(buf, "comp"...)
+		buf = graph.AppendInts(buf, flat[starts[i]:starts[i+1]])
+		buf = append(buf, '\n')
 	}
-	return bw.Flush()
+	return buf
 }
 
 // SetTreeArcRepair toggles the tree-arc re-parenting fast path (on by
@@ -206,6 +254,30 @@ func (s *State) NumLow(v graph.NodeID) (num, low int) { return s.num[v], s.low[v
 // partition, contracted-graph counters, rank invariant and registry.
 // Tests call it after every mutation batch.
 func (s *State) CheckInvariants() error {
+	// comp/members duals, covering exactly the graph's nodes (checked
+	// first: ComponentsSorted relies on them).
+	count := 0
+	for c, set := range s.members {
+		for v := range set {
+			if s.comp[v] != c {
+				return fmt.Errorf("scc: node %d in members of %d but comp says %d", v, c, s.comp[v])
+			}
+			count++
+		}
+	}
+	if count != s.g.NumNodes() || len(s.comp) != s.g.NumNodes() {
+		return fmt.Errorf("scc: membership covers %d of %d nodes", count, s.g.NumNodes())
+	}
+	var missing error
+	s.g.Nodes(func(v graph.NodeID, _ string) bool {
+		if _, ok := s.comp[v]; !ok {
+			missing = fmt.Errorf("scc: node %d has no component", v)
+		}
+		return missing == nil
+	})
+	if missing != nil {
+		return missing
+	}
 	// Partition must match a fresh batch run.
 	want := Components(s.g)
 	got := s.ComponentsSorted()
@@ -221,19 +293,6 @@ func (s *State) CheckInvariants() error {
 				return fmt.Errorf("scc: component %d differs at %d: %d vs %d", i, j, got[i][j], want[i][j])
 			}
 		}
-	}
-	// comp/members duals.
-	count := 0
-	for c, set := range s.members {
-		for v := range set {
-			if s.comp[v] != c {
-				return fmt.Errorf("scc: node %d in members of %d but comp says %d", v, c, s.comp[v])
-			}
-			count++
-		}
-	}
-	if count != s.g.NumNodes() || len(s.comp) != s.g.NumNodes() {
-		return fmt.Errorf("scc: membership covers %d of %d nodes", count, s.g.NumNodes())
 	}
 	// G_c counters recomputed from scratch.
 	wantOut := make(map[CompID]map[CompID]int)
@@ -389,6 +448,6 @@ func (s *State) TopologicalComponents() []CompID {
 	for c := range s.members {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool { return s.rank[out[i]] > s.rank[out[j]] })
+	slices.SortFunc(out, func(a, b CompID) int { return cmp.Compare(s.rank[b], s.rank[a]) })
 	return out
 }

@@ -40,6 +40,16 @@ type Maintained interface {
 	// whatever worker count, shard count, or recovery path computed them.
 	// The durability layer's recovery-parity guarantee is stated — and
 	// tested — in terms of these bytes.
+	//
+	// Cost: the bytes are rendered at most once per graph generation,
+	// lazily. The first read after a mutation pays an O(|Q(G)|) render
+	// (O(|V|) for SCC, whose answer covers every node); later reads in
+	// that generation pay one w.Write of the cached slice. Apply does no
+	// render work. The cached bytes are shared and read-only (WriteAnswer
+	// hands them to w.Write, which by the io.Writer contract must not
+	// modify or retain them), and any mutation invalidates them. Safe
+	// under the read-share contract above: concurrent first readers may
+	// each render, and all see the same bytes.
 	WriteAnswer(w io.Writer) error
 }
 

@@ -39,7 +39,8 @@ type limits struct {
 	// within it, however slowly the bytes trickle (0 = none).
 	idle time.Duration
 	// opTimeout is the per-op budget: the admission queue wait, the
-	// remote phase of a cluster commit, and each reply flush (0 = none).
+	// remote phase of a cluster commit, and each socket write of buffered
+	// replies (0 = none).
 	opTimeout time.Duration
 	// maxStaged caps updates staged on one connection (0 = unlimited).
 	maxStaged int

@@ -376,28 +376,69 @@ func (s *server) serve(addr string, stop <-chan struct{}) error {
 	}
 }
 
+// deadlineWriter is the socket as a handler's reply buffer sees it: every
+// write runs under the op-timeout write deadline, so a client that stops
+// draining its socket is cut instead of holding the handler goroutine
+// (and whatever it has admitted) forever. That covers the explicit
+// flushes and the writes bufio makes on its own: a full buffer, or an
+// answer dump larger than the buffer, which bufio writes straight through.
+type deadlineWriter struct {
+	conn    net.Conn
+	timeout time.Duration
+}
+
+func (w deadlineWriter) Write(p []byte) (int, error) {
+	if w.timeout > 0 {
+		w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
+	}
+	return w.conn.Write(p)
+}
+
+// flushingReader is the socket as a handler's line scanner sees it: it
+// flushes the buffered replies before every read, so every reply is on
+// the wire before the handler can block waiting for the client's next
+// line. err keeps the flush error that ended the scan, if one did.
+type flushingReader struct {
+	conn net.Conn
+	out  *bufio.Writer
+	err  error
+}
+
+func (r *flushingReader) Read(p []byte) (int, error) {
+	if r.out.Buffered() > 0 {
+		if r.err = r.out.Flush(); r.err != nil {
+			return 0, r.err
+		}
+	}
+	return r.conn.Read(p)
+}
+
+// handle serves one connection. Replies are buffered rather than flushed
+// one by one. The buffer is flushed when the scanner has consumed every
+// line already received and is about to read the socket again, and when
+// the handler exits: a client that pipelines lines in one write gets
+// their replies in one write, and a client that waits for each reply
+// before sending its next line gets it before the handler waits for that
+// line. Every socket write runs under the op-timeout write deadline
+// (deadlineWriter), and the per-line read deadline below bounds each wait
+// for a line.
 func (s *server) handle(conn net.Conn) {
 	s.track(conn, true)
+	out := bufio.NewWriter(deadlineWriter{conn: conn, timeout: s.lim.opTimeout})
 	defer func() {
+		// The last replies; a flush error is moot, the connection closes.
+		out.Flush()
 		s.track(conn, false)
 		conn.Close()
 	}()
-	sc := bufio.NewScanner(conn)
+	in := &flushingReader{conn: conn, out: out}
+	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<16), maxLineBytes)
-	out := bufio.NewWriter(conn)
-	// Every flush runs under a write deadline: a client that stops
-	// draining its socket is cut at the op timeout instead of holding the
-	// handler goroutine (and whatever it has admitted) forever.
-	flush := func() bool {
-		if s.lim.opTimeout > 0 {
-			conn.SetWriteDeadline(time.Now().Add(s.lim.opTimeout))
-			defer conn.SetWriteDeadline(time.Time{})
-		}
-		return out.Flush() == nil
-	}
+	// A reply fails only once a write to the socket has: bufio keeps the
+	// first write error and returns it from every later write.
 	reply := func(format string, args ...any) bool {
-		fmt.Fprintf(out, format+"\n", args...)
-		return flush()
+		_, err := fmt.Fprintf(out, format+"\n", args...)
+		return err == nil
 	}
 	var pending incgraph.Batch
 	for {
@@ -458,7 +499,7 @@ func (s *server) handle(conn net.Conn) {
 				}
 				continue
 			}
-			if !s.read(fields[0], fields[1], conn, out, reply) {
+			if !s.read(fields[0], fields[1], out, reply) {
 				return
 			}
 		case "stat":
@@ -507,6 +548,10 @@ func (s *server) handle(conn net.Conn) {
 				return
 			}
 		}
+	}
+	if in.err != nil {
+		// A reply flush failed: the client is gone or stopped reading.
+		return
 	}
 	// The scan ended without a clean quit: tell the client why before the
 	// deferred close when we can, and count what happened.
@@ -787,7 +832,7 @@ func (s *server) probeDisk() {
 // the socket writes, so a stalled client can't hold a slot or the lock
 // and wedge commits (and, through the RWMutex writer queue, every other
 // reader).
-func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply func(string, ...any) bool) bool {
+func (s *server) read(cmd, class string, out *bufio.Writer, reply func(string, ...any) bool) bool {
 	// Replica-read gate: a standby serves reads while its feed is live
 	// (the replica is provably current) and keeps serving from the last
 	// durable generation when the primary is gone — but a replica that
@@ -820,17 +865,10 @@ func (s *server) read(cmd, class string, conn net.Conn, out *bufio.Writer, reply
 	if cmd == "query" {
 		return true
 	}
-	// The dump can be many buffer-fulls; the whole drain runs under one
-	// write deadline so a stalled client is cut at the op timeout.
-	if s.lim.opTimeout > 0 {
-		conn.SetWriteDeadline(time.Now().Add(s.lim.opTimeout))
-		defer conn.SetWriteDeadline(time.Time{})
-	}
 	if _, err := out.Write(dump.Bytes()); err != nil {
 		return false
 	}
-	fmt.Fprintln(out, ".")
-	return out.Flush() == nil
+	return reply(".")
 }
 
 func (s *server) stat(reply func(string, ...any) bool) bool {

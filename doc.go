@@ -117,6 +117,12 @@
 //     attached engines. The fsync policy is explicit: SyncAlways (the
 //     default) makes every acknowledged batch survive power failure;
 //     SyncNone trades bounded loss for append throughput.
+//   - Engine fan-out. After the base graph, the attached engines apply
+//     each batch concurrently, one goroutine each, so a commit costs the
+//     slowest engine's repair rather than the sum of all of them. Each
+//     engine must therefore own its graph (Attach rejects engines sharing
+//     one), and no engine may mutate the batch they all read; summaries
+//     and errors are still reported in attach order.
 //   - Recovery. OpenDurable loads the snapshot, the caller rebuilds its
 //     engines on clones of it, and Recover replays the WAL's valid record
 //     prefix through the engines' normal Apply path — repairs run exactly

@@ -3,6 +3,7 @@ package incgraph
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"incgraph/internal/store"
@@ -15,10 +16,11 @@ import (
 //
 //   - Apply is write-ahead: the batch is validated, appended to the WAL
 //     (fsynced per the SyncPolicy), and only then applied to the base
-//     graph and every attached engine. A crash after the append replays
-//     the batch on recovery; a crash during it leaves a torn tail that
-//     recovery truncates. Acknowledged batches are never lost under
-//     SyncAlways.
+//     graph and every attached engine — the engines concurrently, each on
+//     its own goroutine against the graph it owns. A crash after the
+//     append replays the batch on recovery; a crash during it leaves a
+//     torn tail that recovery truncates. Acknowledged batches are never
+//     lost under SyncAlways.
 //   - Checkpoint folds the WAL into a fresh snapshot (written atomically,
 //     manifest-committed) and starts an empty log.
 //   - OpenDurable + Recover rebuilds everything: the snapshot loads into
@@ -29,11 +31,14 @@ import (
 //     any worker or shard count.
 //
 // Concurrency: Apply, Checkpoint, Recover and Close require exclusive
-// access (they mutate). Between them the attached engines are
-// read-shareable per the usual contract — Apply runs
-// PrepareConcurrentReads on every engine graph before returning, so
-// concurrent readers (e.g. incgraphd query handlers) can start
-// immediately.
+// access (they mutate). Inside an apply, the attached engines run
+// concurrently with each other, all reading the one shared batch, so each
+// engine must own its graph outright (Attach enforces that no two engines
+// and no engine and the base graph share one) and must not mutate the
+// batch. Between applies the attached engines are read-shareable per the
+// usual contract — Apply runs PrepareConcurrentReads on every engine
+// graph before returning, so concurrent readers (e.g. incgraphd query
+// handlers) can start immediately.
 
 // SyncPolicy selects when the write-ahead log fsyncs; see the constants.
 type SyncPolicy = store.SyncPolicy
@@ -100,17 +105,29 @@ func DurableExists(dir string) bool { return store.Exists(dir) }
 // graph engines should be built on.
 func (d *Durable) Graph() *Graph { return d.base }
 
-// Attach registers an engine to be kept in lockstep: Apply will apply
-// every batch to it, and Recover will replay the WAL through it. The
-// engine must have been built on a clone of Graph() (sharing the base
-// graph itself would double-apply every batch).
+// Attach registers engines to be kept in lockstep: Apply will apply every
+// batch to them, and Recover will replay the WAL through them. Each engine
+// must have been built on its own clone of Graph(): sharing the base graph
+// would double-apply every batch, and two engines sharing one graph would
+// apply each batch twice to it — concurrently, since attached engines are
+// applied in parallel. Either case is rejected, and then none of ms is
+// attached.
 func (d *Durable) Attach(ms ...Maintained) error {
+	owner := make(map[*Graph]string, len(d.engines)+len(ms))
+	for _, m := range d.engines {
+		owner[m.Graph()] = m.Class()
+	}
 	for _, m := range ms {
-		if m.Graph() == d.base {
+		g := m.Graph()
+		if g == d.base {
 			return fmt.Errorf("incgraph: Attach(%s): engine shares the base graph; build it on Graph().Clone()", m.Class())
 		}
-		d.engines = append(d.engines, m)
+		if other, ok := owner[g]; ok {
+			return fmt.Errorf("incgraph: Attach(%s): engine shares its graph with the attached %s engine; build each engine on its own Graph().Clone()", m.Class(), other)
+		}
+		owner[g] = m.Class()
 	}
+	d.engines = append(d.engines, ms...)
 	return nil
 }
 
@@ -126,28 +143,12 @@ func (d *Durable) Recover() error {
 		return nil
 	}
 	for _, rec := range d.pending {
-		if err := d.applyAll(rec.Batch); err != nil {
+		if _, err := d.ApplyLogged(rec.Batch); err != nil {
 			return fmt.Errorf("incgraph: recovery replay of WAL record %d: %w", rec.Seq, err)
 		}
 	}
 	d.pending = nil
 	d.replayed = true
-	return nil
-}
-
-// applyAll applies b to the base graph and every engine, then flushes the
-// sorted caches so readers can fan out immediately.
-func (d *Durable) applyAll(b Batch) error {
-	if err := d.base.ApplyBatch(b); err != nil {
-		return err
-	}
-	for _, m := range d.engines {
-		if _, err := m.Apply(b); err != nil {
-			return fmt.Errorf("%s: %w", m.Class(), err)
-		}
-		m.Graph().PrepareConcurrentReads()
-	}
-	d.base.PrepareConcurrentReads()
 	return nil
 }
 
@@ -296,23 +297,39 @@ func (d *Durable) Log(b Batch) error {
 // ApplyLogged applies a batch Log (or LogPlanned) just appended to the
 // base graph and every attached engine, returning the per-engine
 // summaries in attach order. See Log for the serialization contract. It
-// is the apply step Commit wraps in ApplyOptions.Exclusive; prefer
-// Commit unless you are building such a hook yourself.
+// is the apply step Commit wraps in ApplyOptions.Exclusive and the step
+// Recover replays the WAL through; prefer Commit unless you are building
+// such a hook yourself.
+//
+// The base graph applies first. Then every engine applies b and flushes
+// its graph's sorted caches on a goroutine of its own, while the caller
+// flushes the base graph's; the engines share nothing but the read-only
+// batch. If engines fail, the error of the first in attach order is
+// returned.
 func (d *Durable) ApplyLogged(b Batch) ([]DeltaSummary, error) {
 	if err := d.base.ApplyBatch(b); err != nil {
 		// Unreachable after validation; surface loudly if it ever happens.
 		return nil, fmt.Errorf("incgraph: validated batch failed to apply: %w", err)
 	}
 	sums := make([]DeltaSummary, len(d.engines))
+	errs := make([]error, len(d.engines))
+	var wg sync.WaitGroup
+	wg.Add(len(d.engines))
 	for i, m := range d.engines {
-		sum, err := m.Apply(b)
-		if err != nil {
-			return nil, fmt.Errorf("incgraph: engine %s diverged on validated batch: %w", m.Class(), err)
-		}
-		sums[i] = sum
-		m.Graph().PrepareConcurrentReads()
+		go func() {
+			defer wg.Done()
+			if sums[i], errs[i] = m.Apply(b); errs[i] == nil {
+				m.Graph().PrepareConcurrentReads()
+			}
+		}()
 	}
 	d.base.PrepareConcurrentReads()
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("incgraph: engine %s diverged on validated batch: %w", d.engines[i].Class(), err)
+		}
+	}
 	return sums, nil
 }
 

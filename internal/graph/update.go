@@ -59,8 +59,29 @@ func (u Update) Edge() Edge { return Edge{u.From, u.To} }
 type Batch []Update
 
 // Split partitions a batch into insertions ΔG+ and deletions ΔG−,
-// preserving order within each class.
+// preserving order within each class. An empty class is nil, and both
+// returned slices have cap == len, so appending to one never writes into
+// the other or into b. A batch of a single class is returned as b itself
+// (no allocation); a mixed batch costs one allocation shared by both
+// halves. Like Normalize's result, the returned slices may alias b and
+// must not be mutated.
 func (b Batch) Split() (ins, del Batch) {
+	n := 0
+	for _, u := range b {
+		if u.Op == Insert {
+			n++
+		}
+	}
+	switch {
+	case len(b) == 0:
+		return nil, nil
+	case n == len(b):
+		return b[:n:n], nil
+	case n == 0:
+		return nil, b[:len(b):len(b)]
+	}
+	buf := make(Batch, len(b))
+	ins, del = buf[:0:n], buf[n:n:len(b)]
 	for _, u := range b {
 		if u.Op == Insert {
 			ins = append(ins, u)
@@ -71,13 +92,27 @@ func (b Batch) Split() (ins, del Batch) {
 	return ins, del
 }
 
+// normalizeScanMax is the batch length up to which Normalize looks for a
+// repeated edge by a pairwise scan: at the small batch sizes of a serving
+// commit the quadratic scan is cheaper than building two maps.
+const normalizeScanMax = 64
+
 // Normalize removes no-op pairs: the paper assumes w.l.o.g. that ΔG never
 // both deletes and inserts the same edge. For a sequentially valid batch,
 // the updates touching one edge alternate, so the net effect is determined
 // by the first and last update on that edge: if they have the same op the
 // last one is kept, otherwise they cancel and every update on that edge is
 // dropped.
+//
+// When no edge repeats, nothing cancels and Normalize returns b itself,
+// resliced to cap == len, without allocating. Callers must therefore treat
+// the result as read-only: it may alias the caller's batch, which several
+// engines may be reading at once (Durable applies one shared batch to
+// every attached engine concurrently).
 func (b Batch) Normalize() Batch {
+	if len(b) <= normalizeScanMax && !b.repeatsEdge() {
+		return b[:len(b):len(b)]
+	}
 	first := make(map[Edge]Op, len(b))
 	last := make(map[Edge]int, len(b))
 	for i, u := range b {
@@ -86,13 +121,29 @@ func (b Batch) Normalize() Batch {
 		}
 		last[u.Edge()] = i
 	}
+	if len(last) == len(b) {
+		return b[:len(b):len(b)]
+	}
 	out := make(Batch, 0, len(last))
 	for i, u := range b {
 		if last[u.Edge()] == i && first[u.Edge()] == u.Op {
 			out = append(out, u)
 		}
 	}
-	return out
+	return out[:len(out):len(out)]
+}
+
+// repeatsEdge reports whether two updates of b touch the same edge, by a
+// pairwise scan.
+func (b Batch) repeatsEdge() bool {
+	for i := 1; i < len(b); i++ {
+		for j := 0; j < i; j++ {
+			if b[j].From == b[i].From && b[j].To == b[i].To {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // TouchedNodes returns the set of nodes appearing as an endpoint of any

@@ -11,18 +11,20 @@ import (
 // examples/social_stream for the long-hand version).
 //
 // Concurrency: Apply requires exclusive access to the value and its graph
-// (graph mutation is exclusive), but internally parallelizes both the
-// mutation step — large batches apply shard-parallel via the two-phase
-// protocol of the sharded substrate (Graph.SetShards) — and the repair
-// work, across the graph's Parallelism() workers; deltas are merged
-// deterministically, so results are identical at any worker or shard
-// count. Between Apply calls the KWS, RPQ and ISO engines with
-// Parallelism() > 1 leave the graph read-shareable, so their read-only
-// methods (Size, Class, Graph and the concrete types' accessors) may be
-// called from multiple goroutines. At Parallelism() == 1 — and for SCC,
-// which repairs sequentially — the engines skip that housekeeping: call
-// Graph().PrepareConcurrentReads() before sharing reads across
-// goroutines.
+// (graph mutation is exclusive), and must not modify the batch it is
+// given: a Durable applies its attached engines concurrently, each on a
+// goroutine of its own against the graph it alone owns, all reading one
+// shared batch. Internally Apply parallelizes both the mutation step —
+// large batches apply shard-parallel via the two-phase protocol of the
+// sharded substrate (Graph.SetShards) — and the repair work, across the
+// graph's Parallelism() workers; deltas are merged deterministically, so
+// results are identical at any worker or shard count. Between Apply calls
+// the KWS, RPQ and ISO engines with Parallelism() > 1 leave the graph
+// read-shareable, so their read-only methods (Size, Class, Graph and the
+// concrete types' accessors) may be called from multiple goroutines. At
+// Parallelism() == 1 — and for SCC, which repairs sequentially — the
+// engines skip that housekeeping: call Graph().PrepareConcurrentReads()
+// before sharing reads across goroutines.
 type Maintained interface {
 	// Apply applies ΔG to the underlying graph and repairs the answer,
 	// returning a summary of ΔO. Class-specific deltas remain available on

@@ -152,11 +152,33 @@ func ascending(vs []NodeID) bool {
 	return true
 }
 
-// FinishLoad completes a per-shard load: it rebuilds the inverted label
-// index and the edge count from the loaded node records, restores the slot
-// ceiling, and stamps the graph with the snapshot's mutation generation.
-// Call it exactly once, serially, after every LoadShard returned.
+// FinishLoad completes a per-shard load: it checks that the shards'
+// adjacency agrees — every out-edge (v, w) leads to a loaded w that lists
+// v as a predecessor, and the degree sums match, so in- and out-sets are
+// exact mirrors — then rebuilds the inverted label index and the edge
+// count from the loaded node records, restores the slot ceiling, and
+// stamps the graph with the snapshot's mutation generation. Call it
+// exactly once, serially, after every LoadShard returned.
 func (g *Graph) FinishLoad(gen uint64) error {
+	errs := make([]error, len(g.shards))
+	ParallelFor(g.Parallelism(), len(g.shards), func(_, s int) {
+		for v, rec := range g.shards[s].nodes {
+			rec.out.forEach(func(w NodeID) bool {
+				if rw := g.rec(w); rw == nil || !rw.in.has(v) {
+					errs[s] = fmt.Errorf("graph: FinishLoad: edge (%d,%d) is not recorded at node %d", v, w, w)
+				}
+				return errs[s] == nil
+			})
+			if errs[s] != nil {
+				return
+			}
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	edges, inEdges := 0, 0
 	for s := range g.shards {
 		sh := &g.shards[s]
@@ -185,7 +207,20 @@ func (g *Graph) FinishLoad(gen uint64) error {
 // missing one, tracked through the running in-batch state). The durability
 // layer validates a batch before appending it to the write-ahead log, so a
 // logged batch is always replayable.
+//
+// A serving-sized batch in which no edge repeats (the pairwise scan of
+// Normalize) is checked against the graph alone, without allocating; only
+// a batch that touches an edge twice, or a large one, tracks the in-batch
+// edge state in a map.
 func (g *Graph) ValidateBatch(b Batch) error {
+	if len(b) <= normalizeScanMax && !b.repeatsEdge() {
+		for i, u := range b {
+			if err := validateUpdate(i, u, g.HasEdge(u.From, u.To)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	exists := make(map[Edge]bool, len(b))
 	for i, u := range b {
 		e := u.Edge()
@@ -193,20 +228,28 @@ func (g *Graph) ValidateBatch(b Batch) error {
 		if !seen {
 			cur = g.HasEdge(u.From, u.To)
 		}
-		switch u.Op {
-		case Insert:
-			if cur {
-				return fmt.Errorf("update %d: %w: insert of existing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
-			}
-			exists[e] = true
-		case Delete:
-			if !cur {
-				return fmt.Errorf("update %d: %w: delete of missing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
-			}
-			exists[e] = false
-		default:
-			return fmt.Errorf("update %d: %w: unknown op %v", i, ErrBadUpdate, u.Op)
+		if err := validateUpdate(i, u, cur); err != nil {
+			return err
 		}
+		exists[e] = u.Op == Insert
+	}
+	return nil
+}
+
+// validateUpdate checks update i of a batch against whether its edge
+// exists at that point of the batch.
+func validateUpdate(i int, u Update, exists bool) error {
+	switch u.Op {
+	case Insert:
+		if exists {
+			return fmt.Errorf("update %d: %w: insert of existing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
+		}
+	case Delete:
+		if !exists {
+			return fmt.Errorf("update %d: %w: delete of missing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
+		}
+	default:
+		return fmt.Errorf("update %d: %w: unknown op %v", i, ErrBadUpdate, u.Op)
 	}
 	return nil
 }

@@ -78,6 +78,49 @@ func TestExportLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFinishLoadRejectsOneSidedEdges loads shards whose adjacency does
+// not mirror — an out-edge to a node that is not loaded, and one whose
+// head does not list it, each with the degree sums kept equal — and
+// requires FinishLoad to refuse both.
+func TestFinishLoadRejectsOneSidedEdges(t *testing.T) {
+	g := New()
+	for v := NodeID(1); v <= 3; v++ {
+		g.AddNode(v, "a")
+	}
+	g.AddEdge(1, 2)
+	for name, edit := range map[string]func(nodes map[NodeID]*ShardNodeState){
+		"missing head": func(n map[NodeID]*ShardNodeState) {
+			n[1].Out = []NodeID{2, 99}
+			n[3].In = []NodeID{1}
+		},
+		"unlisted at head": func(n map[NodeID]*ShardNodeState) {
+			n[1].Out = []NodeID{3}
+			n[3].In = []NodeID{2}
+			n[2].In = nil
+			n[2].Out = nil
+		},
+	} {
+		states := make([]ShardState, g.NumShards())
+		nodes := make(map[NodeID]*ShardNodeState)
+		for s := range states {
+			states[s] = g.ExportShard(s)
+			for i := range states[s].Nodes {
+				nodes[states[s].Nodes[i].ID] = &states[s].Nodes[i]
+			}
+		}
+		edit(nodes)
+		h := NewSharded(g.NumShards())
+		for s, st := range states {
+			if err := h.LoadShard(s, st); err != nil {
+				t.Fatalf("%s: LoadShard: %v", name, err)
+			}
+		}
+		if err := h.FinishLoad(0); err == nil || !strings.Contains(err.Error(), "not recorded") {
+			t.Fatalf("%s: FinishLoad = %v, want a one-sided edge error", name, err)
+		}
+	}
+}
+
 func TestLoadShardRejectsBadState(t *testing.T) {
 	g := NewSharded(4)
 	g.AddNode(1, "a")

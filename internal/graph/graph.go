@@ -190,6 +190,23 @@ func (g *Graph) HasNode(v NodeID) bool {
 	return g.rec(v) != nil
 }
 
+// Slot returns the dense slot index of v; ok is false when v is absent.
+// Slots lie in [0, SlotCeil()). A node keeps its slot until it is deleted
+// or the graph is resharded (SetShards), and Clone, snapshots and
+// LoadShard preserve it, so engines may keep per-node state in a
+// slot-indexed slice instead of a map keyed by NodeID.
+func (g *Graph) Slot(v NodeID) (int32, bool) {
+	rec := g.rec(v)
+	if rec == nil {
+		return 0, false
+	}
+	return rec.slot, true
+}
+
+// SlotCeil returns the exclusive upper bound of the slots issued so far:
+// a slice of this length can index every node's slot.
+func (g *Graph) SlotCeil() int { return int(g.slotCeil) }
+
 // Label returns the label of v, or "" if v does not exist.
 func (g *Graph) Label(v NodeID) string {
 	rec := g.rec(v)

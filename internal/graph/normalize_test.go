@@ -1,11 +1,14 @@
 package graph
 
-// Tests of the batch-preparation fast paths: Normalize and Split against
-// the map-based reference they replaced, their aliasing contract (cap ==
-// len on every returned slice, so appends never write into a shared
-// batch), and their allocation budget on a serving-sized batch.
+// Tests of the batch-preparation fast paths: Normalize, Split and
+// ValidateBatch against the map-based references they replaced, their
+// aliasing contract (cap == len on every returned slice, so appends never
+// write into a shared batch), and their allocation budget on a
+// serving-sized batch.
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -140,4 +143,106 @@ func TestBatchPrepAllocs(t *testing.T) {
 		t.Errorf("Split (all inserts): %.1f allocs/op, want 0", a)
 	}
 	_ = sink
+}
+
+// refValidateBatch is the map-based ValidateBatch: every update checked
+// against the in-batch state of its edge, seeded from the graph.
+func refValidateBatch(g *Graph, b Batch) error {
+	exists := make(map[Edge]bool, len(b))
+	for i, u := range b {
+		cur, seen := exists[u.Edge()]
+		if !seen {
+			cur = g.HasEdge(u.From, u.To)
+		}
+		switch u.Op {
+		case Insert:
+			if cur {
+				return fmt.Errorf("update %d: %w: insert of existing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
+			}
+			exists[u.Edge()] = true
+		case Delete:
+			if !cur {
+				return fmt.Errorf("update %d: %w: delete of missing edge (%d,%d)", i, ErrBadUpdate, u.From, u.To)
+			}
+			exists[u.Edge()] = false
+		default:
+			return fmt.Errorf("update %d: %w: unknown op %v", i, ErrBadUpdate, u.Op)
+		}
+	}
+	return nil
+}
+
+// TestValidateBatchMatchesReference compares ValidateBatch with the
+// map-based reference on valid batches (small node pools make repeated
+// edges and alternating insert/delete runs common, large ones rare) and
+// on the same batches with one update flipped or given an unknown op:
+// same verdict, same error text, same update index.
+func TestValidateBatchMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	sizes := []int{0, 1, 2, 15, 16, 17, 63, 64, 65, 100, 200}
+	for trial := 0; trial < 600; trial++ {
+		n := sizes[trial%len(sizes)]
+		nodes := []int{3, 8, 40, 1 << 20}[trial%4]
+		b := randomValidBatch(rng, n, nodes)
+		// The graph holds the edges the batch starts from: every edge
+		// whose first update in b is a delete.
+		g := New()
+		seen := make(map[Edge]bool)
+		for _, u := range b {
+			if !seen[u.Edge()] {
+				seen[u.Edge()] = true
+				if u.Op == Delete {
+					g.AddNode(u.From, "a")
+					g.AddNode(u.To, "b")
+					g.AddEdge(u.From, u.To)
+				}
+			}
+		}
+		cases := []Batch{b}
+		if n > 0 {
+			flipped := slices.Clone(b)
+			i := rng.Intn(n)
+			flipped[i] = flipped[i].Inverse()
+			unknown := slices.Clone(b)
+			unknown[rng.Intn(n)].Op = Op(7)
+			cases = append(cases, flipped, unknown)
+		}
+		for ci, c := range cases {
+			got, want := g.ValidateBatch(c), refValidateBatch(g, c)
+			if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+				t.Fatalf("trial %d case %d (n=%d nodes=%d): ValidateBatch = %v, want %v", trial, ci, n, nodes, got, want)
+			}
+			if ci == 0 && got != nil {
+				t.Fatalf("trial %d: valid batch rejected: %v", trial, got)
+			}
+			if got != nil && !errors.Is(got, ErrBadUpdate) {
+				t.Fatalf("trial %d: error %v does not wrap ErrBadUpdate", trial, got)
+			}
+		}
+	}
+}
+
+// TestValidateBatchAllocs pins the serving-path budget: a 16-update
+// batch with no repeated edge validates without allocating.
+func TestValidateBatchAllocs(t *testing.T) {
+	g := New()
+	var b Batch
+	for i := 0; i < 16; i++ {
+		v := NodeID(2 * i)
+		if i%3 == 0 {
+			g.AddNode(v, "a")
+			g.AddNode(v+1, "b")
+			g.AddEdge(v, v+1)
+			b = append(b, Del(v, v+1))
+		} else {
+			b = append(b, InsNew(v, v+1, "a", "b"))
+		}
+	}
+	var err error
+	if a := testing.AllocsPerRun(100, func() { err = g.ValidateBatch(b) }); a != 0 {
+		t.Errorf("ValidateBatch: %.1f allocs/op, want 0", a)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
 }

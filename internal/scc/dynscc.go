@@ -2,6 +2,7 @@ package scc
 
 import (
 	"fmt"
+	"slices"
 
 	"incgraph/internal/cost"
 	"incgraph/internal/graph"
@@ -269,7 +270,7 @@ func (d *DynSCC) delete(u graph.Update) error {
 
 // ComponentsSorted returns the partition in canonical form.
 func (d *DynSCC) ComponentsSorted() [][]graph.NodeID {
-	return splitRuns(canonicalPartition(d.g.NodesSorted(), d.comp, d.members))
+	return splitRuns(mapPartition(d.g.NodesSorted(), d.comp, d.members))
 }
 
 // NumComponents returns the current component count.
@@ -293,4 +294,34 @@ func (d *DynSCC) Check() error {
 		}
 	}
 	return nil
+}
+
+func sortedMembers(set map[graph.NodeID]struct{}) []graph.NodeID {
+	out := make([]graph.NodeID, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// mapPartition is State.canonicalPartition over DynSCC's maps: comp and
+// members must be duals covering exactly nodes (ascending).
+func mapPartition(nodes []graph.NodeID, comp map[graph.NodeID]CompID, members map[CompID]map[graph.NodeID]struct{}) (flat []graph.NodeID, starts []int) {
+	flat = make([]graph.NodeID, len(nodes))
+	starts = make([]int, 0, len(members)+1)
+	cursor := make(map[CompID]int)
+	next := 0
+	for _, v := range nodes {
+		c := comp[v]
+		at, seen := cursor[c]
+		if !seen {
+			at = next
+			starts = append(starts, at)
+			next += len(members[c])
+		}
+		flat[at] = v
+		cursor[c] = at + 1
+	}
+	return flat, append(starts, next)
 }

@@ -39,35 +39,55 @@ type Delta struct {
 // Empty reports whether the output was unaffected.
 func (d Delta) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// deltaTracker accumulates component births and deaths across one Apply.
+// deltaTracker accumulates component births and deaths across one
+// Apply*. A component ID stands for a new incarnation each time it is
+// created; compRec.born ties an ID to the batch that created it.
 type deltaTracker struct {
-	destroyed map[CompID][]graph.NodeID
-	created   map[CompID]bool
+	batch   uint32
+	created []CompID
+	removed [][]graph.NodeID
 }
 
-func newDeltaTracker() *deltaTracker {
-	return &deltaTracker{destroyed: make(map[CompID][]graph.NodeID), created: make(map[CompID]bool)}
+// beginDelta starts tracking a new Apply*.
+func (s *State) beginDelta() {
+	s.dt.batch++
+	if s.dt.batch == 0 { // wrapped: stale birth marks could collide
+		for i := range s.comps {
+			s.comps[i].born = 0
+		}
+		s.dt.batch = 1
+	}
+	s.dt.created = s.dt.created[:0]
+	s.dt.removed = nil
 }
 
-func (dt *deltaTracker) destroy(c CompID, members map[graph.NodeID]struct{}) {
-	if dt.created[c] {
-		delete(dt.created, c) // born and died within this batch: invisible
+// destroy records the death of c's current incarnation; call it before
+// c's members change.
+func (s *State) destroy(c CompID) {
+	if cr := &s.comps[c]; cr.born == s.dt.batch {
+		cr.born = 0 // born and died within this batch: invisible
 		return
 	}
-	dt.destroyed[c] = sortedMembers(members)
+	s.dt.removed = append(s.dt.removed, s.MembersOf(c))
 }
 
-func (dt *deltaTracker) create(c CompID) { dt.created[c] = true }
+// create records the birth of a new incarnation of c.
+func (s *State) create(c CompID) {
+	s.comps[c].born = s.dt.batch
+	s.dt.created = append(s.dt.created, c)
+}
 
-func (dt *deltaTracker) delta(s *State) Delta {
-	var d Delta
-	for c := range dt.created {
-		if set, ok := s.members[c]; ok {
-			d.Added = append(d.Added, sortedMembers(set))
+// delta returns the tracked changes in canonical form.
+func (s *State) delta() Delta {
+	d := Delta{Removed: s.dt.removed}
+	s.dt.removed = nil
+	for _, c := range s.dt.created {
+		// An ID recreated within the batch is listed once per creation;
+		// report its surviving incarnation once.
+		if cr := &s.comps[c]; cr.born == s.dt.batch && cr.head >= 0 {
+			cr.born = 0
+			d.Added = append(d.Added, s.MembersOf(c))
 		}
-	}
-	for _, m := range dt.destroyed {
-		d.Removed = append(d.Removed, m)
 	}
 	canon := func(cs [][]graph.NodeID) {
 		slices.SortFunc(cs, func(a, b []graph.NodeID) int { return cmp.Compare(a[0], b[0]) })
@@ -79,37 +99,43 @@ func (dt *deltaTracker) delta(s *State) Delta {
 
 // ApplyInsert processes a unit edge insertion with IncSCC+ (Fig. 7).
 func (s *State) ApplyInsert(u graph.Update) (Delta, error) {
-	dt := newDeltaTracker()
-	if err := s.applyInsert(u, dt); err != nil {
+	s.beginDelta()
+	if err := s.applyInsert(u); err != nil {
 		return Delta{}, err
 	}
-	return dt.delta(s), nil
+	return s.delta(), nil
 }
 
 // ApplyDelete processes a unit edge deletion with IncSCC−.
 func (s *State) ApplyDelete(u graph.Update) (Delta, error) {
-	dt := newDeltaTracker()
-	if err := s.applyDelete(u, dt); err != nil {
+	s.beginDelta()
+	if err := s.applyDelete(u); err != nil {
 		return Delta{}, err
 	}
-	return dt.delta(s), nil
+	return s.delta(), nil
 }
 
 // ApplyUnitwise is IncSCCn: unit updates processed one at a time.
 func (s *State) ApplyUnitwise(batch graph.Batch) (Delta, error) {
-	dt := newDeltaTracker()
+	s.beginDelta()
 	for _, u := range batch {
 		var err error
 		if u.Op == graph.Insert {
-			err = s.applyInsert(u, dt)
+			err = s.applyInsert(u)
 		} else {
-			err = s.applyDelete(u, dt)
+			err = s.applyDelete(u)
 		}
 		if err != nil {
 			return Delta{}, err
 		}
 	}
-	return dt.delta(s), nil
+	return s.delta(), nil
+}
+
+// intraUpdate is an intra-component update tagged with its component.
+type intraUpdate struct {
+	c CompID
+	u graph.Update
 }
 
 // Apply processes a batch ΔG with IncSCC: intra-component updates are
@@ -117,13 +143,13 @@ func (s *State) ApplyUnitwise(batch graph.Batch) (Delta, error) {
 // deletions update G_c counters, then inter-component insertions run the
 // rank-window machinery with an already-satisfied fast path.
 func (s *State) Apply(batch graph.Batch) (Delta, error) {
-	dt := newDeltaTracker()
+	s.beginDelta()
 	// Node creation is a side effect of insertions even when the edge is
 	// later cancelled by a deletion, so it runs on the raw batch.
 	for _, u := range batch {
 		if u.Op == graph.Insert {
-			s.ensureNode(u.From, u.FromLabel, dt)
-			s.ensureNode(u.To, u.ToLabel, dt)
+			s.ensureNode(u.From, u.FromLabel)
+			s.ensureNode(u.To, u.ToLabel)
 		}
 	}
 	batch = batch.Normalize()
@@ -132,29 +158,27 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 			return Delta{}, fmt.Errorf("scc: %w: delete of missing edge (%d,%d)", graph.ErrBadUpdate, u.From, u.To)
 		}
 	}
-	// Classify against the component map at batch start.
-	intra := make(map[CompID]graph.Batch)
+	// Classify against the components at batch start.
+	var intra []intraUpdate
 	var interDel, interIns graph.Batch
 	for _, u := range batch {
-		cv, cw := s.comp[u.From], s.comp[u.To]
+		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
-			intra[cv] = append(intra[cv], u)
+			intra = append(intra, intraUpdate{cv, u})
 		} else if u.Op == graph.Delete {
 			interDel = append(interDel, u)
 		} else {
 			interIns = append(interIns, u)
 		}
 	}
-	// (a) Intra-component updates, grouped: apply the group's edges, then
-	// one scoped Tarjan decides refresh vs split.
-	comps := make([]CompID, 0, len(intra))
-	for c := range intra {
-		comps = append(comps, c)
-	}
-	slices.Sort(comps)
-	for _, c := range comps {
-		var dels graph.Batch
-		for _, u := range intra[c] {
+	// (a) Intra-component updates, grouped by component: apply the
+	// group's edges, then one scoped Tarjan decides refresh vs split.
+	slices.SortStableFunc(intra, func(a, b intraUpdate) int { return cmp.Compare(a.c, b.c) })
+	for i := 0; i < len(intra); {
+		c, j := intra[i].c, i
+		var dels []graph.Update
+		for ; j < len(intra) && intra[j].c == c; j++ {
+			u := intra[j].u
 			if err := s.g.Apply(u); err != nil {
 				return Delta{}, err
 			}
@@ -162,39 +186,24 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 				dels = append(dels, u)
 			}
 		}
+		i = j
 		if len(dels) == 0 {
 			continue // insertions alone never change the partition
 		}
 		// chkReach the deletions together: each walk repairs the lowlinks
 		// its deletion invalidated; surviving certificates mean no split
 		// and no Tarjan at all. Tree-arc deletions break the DFS tree the
-		// certificate rests on, so they force the full pass.
-		intact := !s.dirty[c]
-		if intact {
-			for _, u := range dels {
-				if p, isTree := s.parent[u.To]; isTree && p == u.From {
-					if s.noRepair || !s.tryRepairTreeArc(u.From, u.To, c) {
-						intact = false
-						break
-					}
-					continue
-				}
-				if !s.lowlinkWalkIntact(u.From, c) {
-					intact = false
-					break
-				}
+		// certificate rests on, so they force the full pass unless the
+		// arc can be repaired.
+		intact := !s.comps[c].dirty
+		for _, u := range dels {
+			if !intact {
+				break
 			}
+			intact = s.deletionIntact(s.slot(u.From), s.slot(u.To), c)
 		}
-		if intact {
-			continue
-		}
-		delete(s.dirty, c)
-		set := s.members[c]
-		res := s.runScoped(set)
-		if len(res.Comps) == 1 {
-			s.store(res, set)
-		} else {
-			s.splitComp(c, res, dt)
+		if !intact {
+			s.rescan(c)
 		}
 	}
 	// (b) Inter-component deletions: G_c counter maintenance.
@@ -202,35 +211,49 @@ func (s *State) Apply(batch graph.Batch) (Delta, error) {
 		if err := s.g.Apply(u); err != nil {
 			return Delta{}, err
 		}
-		s.gcDecrement(s.comp[u.From], s.comp[u.To])
+		s.gcDecrement(s.compOf(u.From), s.compOf(u.To))
 	}
 	// (c) Inter-component insertions.
 	for _, u := range interIns {
 		if err := s.g.Apply(u); err != nil {
 			return Delta{}, err
 		}
-		cv, cw := s.comp[u.From], s.comp[u.To]
+		cv, cw := s.compOf(u.From), s.compOf(u.To)
 		if cv == cw {
 			// An earlier merge in this batch made the edge intra; the
 			// merged component is already marked dirty, and intra
 			// insertions need no further work.
 			continue
 		}
-		s.processInterInsert(cv, cw, dt)
+		s.processInterInsert(cv, cw)
 	}
-	return dt.delta(s), nil
+	return s.delta(), nil
 }
 
-func (s *State) applyInsert(u graph.Update, dt *deltaTracker) error {
+// compOf returns the component of an existing node.
+func (s *State) compOf(v graph.NodeID) CompID { return s.nodes[s.slot(v)].comp }
+
+// deletionIntact runs the chkReach fast path for the deleted edge
+// (v, w) inside the fresh component c (slots): a tree arc is re-parented,
+// any other edge repairs lowlinks along the ancestor path. It reports
+// whether the certificate survived, i.e. c is still strongly connected.
+func (s *State) deletionIntact(v, w int32, c CompID) bool {
+	if s.nodes[w].parent == v {
+		return !s.noRepair && s.tryRepairTreeArc(v, w, c)
+	}
+	return s.lowlinkWalkIntact(v, c)
+}
+
+func (s *State) applyInsert(u graph.Update) error {
 	if u.Op != graph.Insert {
 		return fmt.Errorf("scc: applyInsert got %v", u)
 	}
-	s.ensureNode(u.From, u.FromLabel, dt)
-	s.ensureNode(u.To, u.ToLabel, dt)
+	s.ensureNode(u.From, u.FromLabel)
+	s.ensureNode(u.To, u.ToLabel)
 	if err := s.g.Apply(u); err != nil {
 		return err
 	}
-	cv, cw := s.comp[u.From], s.comp[u.To]
+	cv, cw := s.compOf(u.From), s.compOf(u.To)
 	if cv == cw {
 		// Fig. 7 lines 1–2: T := T ⊕ ΔG. No structural work is needed:
 		// the partition is unchanged, and the stored lowlinks remain a
@@ -238,69 +261,50 @@ func (s *State) applyInsert(u graph.Update, dt *deltaTracker) error {
 		// the next deletion's chkReach walk stays valid.
 		return nil
 	}
-	s.processInterInsert(cv, cw, dt)
+	s.processInterInsert(cv, cw)
 	return nil
 }
 
-func (s *State) applyDelete(u graph.Update, dt *deltaTracker) error {
+func (s *State) applyDelete(u graph.Update) error {
 	if u.Op != graph.Delete {
 		return fmt.Errorf("scc: applyDelete got %v", u)
 	}
 	if err := s.g.Apply(u); err != nil {
 		return err
 	}
-	cv, cw := s.comp[u.From], s.comp[u.To]
+	v, w := s.slot(u.From), s.slot(u.To)
+	cv, cw := s.nodes[v].comp, s.nodes[w].comp
 	if cv != cw {
 		s.gcDecrement(cv, cw)
 		return nil
 	}
 	// Intra-component deletion. A stale (dirty) component goes straight to
 	// the scoped Tarjan, which also settles the deferred refresh. For a
-	// fresh component, the chkReach fast path applies: for a non-tree
-	// edge, repair lowlinks along the ancestor path; if the certificate
+	// fresh component, the chkReach fast path applies: if the certificate
 	// survives, the component is intact and nothing else changes.
-	if !s.dirty[cv] {
-		if p, isTree := s.parent[u.To]; isTree && p == u.From {
-			if !s.noRepair && s.tryRepairTreeArc(u.From, u.To, cv) {
-				return nil
-			}
-		} else if s.lowlinkWalkIntact(u.From, cv) {
-			return nil
-		}
-	}
-	delete(s.dirty, cv)
-	set := s.members[cv]
-	res := s.runScoped(set)
-	if len(res.Comps) == 1 {
-		s.store(res, set)
+	if !s.comps[cv].dirty && s.deletionIntact(v, w, cv) {
 		return nil
 	}
-	s.splitComp(cv, res, dt)
+	s.rescan(cv)
 	return nil
 }
 
 // ensureNode creates v as a fresh singleton component when absent.
 // A new component with no incident edges can take any unique rank; the top
 // of the registry keeps the invariant trivially.
-func (s *State) ensureNode(v graph.NodeID, label string, dt *deltaTracker) {
+func (s *State) ensureNode(v graph.NodeID, label string) {
 	if s.g.HasNode(v) {
 		return
 	}
 	s.g.AddNode(v, label)
-	id := s.next
-	s.next++
-	s.comp[v] = id
-	s.members[id] = map[graph.NodeID]struct{}{v: {}}
-	s.gcOut[id] = make(map[CompID]int)
-	s.gcIn[id] = make(map[CompID]int)
-	r := s.reg.max() + 1
-	s.rank[id] = r
-	s.reg.insert(r)
-	s.num[v] = 1
-	s.low[v] = 1
-	s.desc[v] = 1
-	delete(s.parent, v)
-	dt.create(id)
+	sl := s.slot(v)
+	if n := int(sl) + 1; n > len(s.nodes) {
+		s.nodes = append(s.nodes, make([]nodeRec, n-len(s.nodes))...)
+	}
+	s.nodes[sl] = nodeRec{id: v, num: 1, low: 1, desc: 1, parent: -1}
+	c := s.newComp(s.reg.max() + 1)
+	s.link(c, sl)
+	s.create(c)
 	s.meter.AddEntries(1)
 }
 
@@ -308,63 +312,80 @@ func (s *State) ensureNode(v graph.NodeID, label string, dt *deltaTracker) {
 // zero. Removing edges can never violate the rank invariant.
 func (s *State) gcDecrement(cv, cw CompID) {
 	s.meter.AddEntries(1)
-	if n := s.gcOut[cv][cw]; n > 1 {
-		s.gcOut[cv][cw] = n - 1
-		s.gcIn[cw][cv] = n - 1
-	} else {
-		delete(s.gcOut[cv], cw)
-		delete(s.gcIn[cw], cv)
-	}
+	s.gcAdd(cv, cw, -1)
 }
 
-// runScoped runs Tarjan on the subgraph induced by set.
-func (s *State) runScoped(set map[graph.NodeID]struct{}) *Result[graph.NodeID] {
-	nodes := sortedMembers(set)
-	s.meter.AddNodes(len(nodes))
-	return Run(nodes, func(v graph.NodeID, yield func(graph.NodeID) bool) {
-		s.g.Successors(v, func(w graph.NodeID) bool {
+// rescan runs a Tarjan pass scoped to c and then either refreshes c's
+// certificate or splits c into the components found.
+func (s *State) rescan(c CompID) {
+	s.comps[c].dirty = false
+	members := s.runScoped(c)
+	if s.k.numComps() > 1 {
+		s.splitComp(c, members)
+	}
+	s.store(members)
+}
+
+// runScoped runs the kernel on the subgraph induced by c's members and
+// returns the members' slots in ascending ID order: member i is the
+// kernel's local node i.
+func (s *State) runScoped(c CompID) []int32 {
+	members := make([]int32, 0, s.comps[c].size)
+	s.eachMember(c, func(sl int32) { members = append(members, sl) })
+	slices.SortFunc(members, func(a, b int32) int { return cmp.Compare(s.nodes[a].id, s.nodes[b].id) })
+	s.meter.AddNodes(len(members))
+	if len(s.local) < len(s.nodes) {
+		s.local = make([]int32, len(s.nodes)+len(s.nodes)/4)
+	}
+	for i, sl := range members {
+		s.local[sl] = int32(i)
+	}
+	k := &s.k
+	k.reset(len(members))
+	for _, sl := range members {
+		s.g.Successors(s.nodes[sl].id, func(w graph.NodeID) bool {
 			s.meter.AddEdges(1)
-			if _, ok := set[w]; ok {
-				return yield(w)
+			if ws := s.slot(w); s.nodes[ws].comp == c {
+				k.adj = append(k.adj, s.local[ws])
 			}
 			return true
 		})
-	})
+		k.mark()
+	}
+	k.run()
+	return members
 }
 
-// store installs a scoped run's num/lowlink/parent/desc for every node of
-// set. Parent pointers crossing component boundaries (possible after a
-// split) are dropped.
-func (s *State) store(res *Result[graph.NodeID], set map[graph.NodeID]struct{}) {
-	for v := range set {
-		s.num[v] = res.Num[v]
-		s.low[v] = res.Low[v]
-		s.desc[v] = res.Desc[v]
-		if p, ok := res.Parent[v]; ok && s.comp[p] == s.comp[v] {
-			s.parent[v] = p
-		} else {
-			delete(s.parent, v)
+// store installs the last scoped run's num/lowlink/parent/desc for every
+// member. Parent pointers crossing the run's components (possible after
+// a split) are dropped.
+func (s *State) store(members []int32) {
+	k := &s.k
+	for i, sl := range members {
+		r := &s.nodes[sl]
+		r.num, r.low, r.desc, r.parent = k.num[i], k.low[i], k.desc[i], -1
+		if p := k.parent[i]; p >= 0 && k.comp[p] == k.comp[i] {
+			r.parent = members[p]
 		}
-		s.meter.AddEntries(1)
 	}
+	s.meter.AddEntries(len(members))
 }
 
 // recomputeLow evaluates Tarjan's lowlink recurrence for x against the
 // current stored values, restricted to component c.
-func (s *State) recomputeLow(x graph.NodeID, c CompID) int {
-	low := s.num[x]
-	s.g.Successors(x, func(w graph.NodeID) bool {
+func (s *State) recomputeLow(x int32, c CompID) int32 {
+	low := s.nodes[x].num
+	s.g.Successors(s.nodes[x].id, func(w graph.NodeID) bool {
 		s.meter.AddEdges(1)
-		if s.comp[w] != c {
+		r := &s.nodes[s.slot(w)]
+		if r.comp != c {
 			return true
 		}
-		cand := s.num[w]
-		if p, ok := s.parent[w]; ok && p == x {
-			cand = s.low[w]
+		cand := r.num
+		if r.parent == x {
+			cand = r.low
 		}
-		if cand < low {
-			low = cand
-		}
+		low = min(low, cand)
 		return true
 	})
 	return low
@@ -375,24 +396,23 @@ func (s *State) recomputeLow(x graph.NodeID, c CompID) int {
 // non-root" survives, i.e. the component is still strongly connected; false
 // signals a split (caller re-runs Tarjan on the component). The cost is
 // proportional to the repaired path — the affected area.
-func (s *State) lowlinkWalkIntact(v graph.NodeID, c CompID) bool {
-	x := v
-	for {
+func (s *State) lowlinkWalkIntact(v int32, c CompID) bool {
+	for x := v; ; {
 		s.meter.AddNodes(1)
 		newLow := s.recomputeLow(x, c)
-		if newLow == s.low[x] {
+		r := &s.nodes[x]
+		if newLow == r.low {
 			return true // change stopped propagating
 		}
-		s.low[x] = newLow
+		r.low = newLow
 		s.meter.AddEntries(1)
-		p, ok := s.parent[x]
-		if !ok {
+		if r.parent < 0 {
 			return true // DFS root: low == num is normal there
 		}
-		if newLow == s.num[x] {
+		if newLow == r.num {
 			return false // non-root subtree lost its back reach: split
 		}
-		x = p
+		x = r.parent
 	}
 }
 
@@ -410,23 +430,22 @@ func (s *State) lowlinkWalkIntact(v graph.NodeID, c CompID) bool {
 // reaches everyone through the tree. (The preorder-interval property of
 // desc is given up, which only weakens the split test towards conservative
 // full passes — never towards wrong "intact" verdicts.)
-func (s *State) tryRepairTreeArc(v, w graph.NodeID, c CompID) bool {
-	numW := s.num[w]
-	var x graph.NodeID
-	found := false
-	s.g.Predecessors(w, func(p graph.NodeID) bool {
+func (s *State) tryRepairTreeArc(v, w int32, c CompID) bool {
+	numW := s.nodes[w].num
+	x := int32(-1)
+	s.g.Predecessors(s.nodes[w].id, func(p graph.NodeID) bool {
 		s.meter.AddEdges(1)
-		if s.comp[p] == c && s.num[p] < numW {
-			x = p
-			found = true
+		ps := s.slot(p)
+		if r := &s.nodes[ps]; r.comp == c && r.num < numW {
+			x = ps
 			return false
 		}
 		return true
 	})
-	if !found {
+	if x < 0 {
 		return false
 	}
-	s.parent[w] = x
+	s.nodes[w].parent = x
 	s.meter.AddEntries(1)
 	return s.lowlinkWalkIntact(v, c) && s.lowlinkWalkIntact(x, c)
 }
@@ -438,7 +457,7 @@ func (s *State) tryRepairTreeArc(v, w graph.NodeID, c CompID) bool {
 // global invariant. Float exhaustion triggers a full renumbering.
 func (s *State) splitRanks(c CompID, k int) []float64 {
 	for attempt := 0; ; attempt++ {
-		r := s.rank[c]
+		r := s.comps[c].rank
 		l := s.reg.predecessor(r)
 		step := (r - l) / float64(k)
 		vals := make([]float64, k)
@@ -466,212 +485,220 @@ func (s *State) splitRanks(c CompID, k int) []float64 {
 }
 
 // renumberAll reassigns integer ranks 0..n-1 by a topological sort of G_c.
+// It runs its own kernel: the state's may hold a scoped run in use.
 func (s *State) renumberAll() {
-	ids := make([]CompID, 0, len(s.members))
-	for c := range s.members {
-		ids = append(ids, c)
-	}
-	slices.Sort(ids)
-	res := Run(ids, func(c CompID, yield func(CompID) bool) {
-		for o := range s.gcOut[c] {
-			if !yield(o) {
-				return
-			}
+	ids := make([]CompID, 0, s.live)
+	for c := range s.comps {
+		if s.comps[c].head >= 0 {
+			s.comps[c].local = int32(len(ids))
+			ids = append(ids, CompID(c))
 		}
-	})
-	s.reg.vals = s.reg.vals[:0]
-	for i, comp := range res.Comps {
+	}
+	var k kernel
+	k.reset(len(ids))
+	for _, c := range ids {
+		s.comps[c].out.forEach(func(o CompID, _ int32) bool {
+			k.adj = append(k.adj, s.comps[o].local)
+			return true
+		})
+		k.mark()
+	}
+	k.run()
+	s.reg.reset()
+	for i := 0; i < k.numComps(); i++ {
 		// G_c is acyclic here, so every component is a singleton.
-		s.rank[comp[0]] = float64(i)
+		s.comps[ids[k.part(i)[0]]].rank = float64(i)
 		s.reg.insert(float64(i))
 		s.meter.AddEntries(1)
 	}
 }
 
-// splitComp replaces component c by the parts found in res (≥ 2 components
-// in reverse topological order), slotting their ranks into the window below
-// c's old rank and rebuilding the incident G_c edges.
-func (s *State) splitComp(c CompID, res *Result[graph.NodeID], dt *deltaTracker) {
-	oldMembers := s.members[c]
-	dt.destroy(c, oldMembers)
-	ranks := s.splitRanks(c, len(res.Comps))
-	oldRank := s.rank[c]
-	// Detach c from G_c.
-	for o := range s.gcOut[c] {
-		delete(s.gcIn[o], c)
-	}
-	for i := range s.gcIn[c] {
-		delete(s.gcOut[i], c)
-	}
-	delete(s.gcOut, c)
-	delete(s.gcIn, c)
-	delete(s.rank, c)
-	delete(s.members, c)
-	delete(s.dirty, c)
-	s.reg.remove(oldRank)
-	// Create the parts; reverse topological order matches ascending ranks.
-	for i, comp := range res.Comps {
-		id := s.next
-		s.next++
-		set := make(map[graph.NodeID]struct{}, len(comp))
-		for _, v := range comp {
-			set[v] = struct{}{}
-			s.comp[v] = id
+// splitComp replaces component c by the parts of the last scoped run
+// (≥ 2 components in reverse topological order), slotting their ranks
+// into the window below c's old rank. The largest part keeps the ID c,
+// so only the members of the other parts are relinked, and only the G_c
+// edges at those members are moved: the cost is proportional to the
+// nodes that change component and their degrees, not to |c| or to c's
+// degree in G_c.
+func (s *State) splitComp(c CompID, members []int32) {
+	k := &s.k
+	parts := k.numComps()
+	s.destroy(c)
+	ranks := s.splitRanks(c, parts)
+	s.reg.remove(s.comps[c].rank)
+	keep := 0
+	for i := 1; i < parts; i++ {
+		if len(k.part(i)) > len(k.part(keep)) {
+			keep = i
 		}
-		s.members[id] = set
-		s.gcOut[id] = make(map[CompID]int)
-		s.gcIn[id] = make(map[CompID]int)
-		s.rank[id] = ranks[i]
-		s.reg.insert(ranks[i])
-		dt.create(id)
-		s.meter.AddEntries(len(comp))
 	}
-	s.store(res, oldMembers)
-	// Rebuild incident G_c counters: successors of members cover internal
-	// part-to-part and outgoing edges; external predecessors cover incoming.
-	for v := range oldMembers {
-		cv := s.comp[v]
-		s.g.Successors(v, func(w graph.NodeID) bool {
-			s.meter.AddEdges(1)
-			if cw := s.comp[w]; cw != cv {
-				s.gcOut[cv][cw]++
-				s.gcIn[cw][cv]++
+	s.stamp()
+	s.flag(c, inSplit)
+	for i := 0; i < parts; i++ {
+		id := c
+		if i == keep {
+			s.comps[c].rank = ranks[i]
+			s.reg.insert(ranks[i])
+		} else {
+			id = s.newComp(ranks[i])
+			s.flag(id, inSplit)
+			for _, li := range k.part(i) {
+				s.unlink(members[li])
+				s.link(id, members[li])
 			}
-			return true
-		})
-		s.g.Predecessors(v, func(u graph.NodeID) bool {
-			s.meter.AddEdges(1)
-			if _, internal := oldMembers[u]; internal {
+		}
+		s.create(id)
+		s.meter.AddEntries(len(k.part(i)))
+	}
+	// Move the G_c edges at the relinked members. An edge's old
+	// contribution was (c or the outside component) on each end; edges
+	// between two relinked members are visited once, from their source.
+	for i := 0; i < parts; i++ {
+		if i == keep {
+			continue
+		}
+		for _, li := range k.part(i) {
+			v := &s.nodes[members[li]]
+			id := v.comp
+			s.g.Successors(v.id, func(w graph.NodeID) bool {
+				s.meter.AddEdges(1)
+				cw := s.compOf(w)
+				if !s.has(cw, inSplit) {
+					s.gcAdd(c, cw, -1)
+				}
+				if cw != id {
+					s.gcAdd(id, cw, 1)
+				}
 				return true
-			}
-			if cu := s.comp[u]; cu != cv {
-				s.gcOut[cu][cv]++
-				s.gcIn[cv][cu]++
-			}
-			return true
-		})
+			})
+			s.g.Predecessors(v.id, func(u graph.NodeID) bool {
+				s.meter.AddEdges(1)
+				cu := s.compOf(u)
+				if cu != c && s.has(cu, inSplit) {
+					return true // a relinked source: counted from its side
+				}
+				if cu != c {
+					s.gcAdd(cu, c, -1)
+				}
+				s.gcAdd(cu, id, 1)
+				return true
+			})
+		}
 	}
 }
 
 // dfsGc explores G_c from start (forward when fwd, else backward), visiting
-// only nodes admitted by the rank window. This is DFSf/DFSb of Fig. 7.
-func (s *State) dfsGc(start CompID, fwd bool, admit func(CompID) bool) map[CompID]bool {
-	seen := map[CompID]bool{start: true}
+// only components whose rank is at least (forward) or at most (backward)
+// bound, and flags every visited component with bit. This is DFSf/DFSb of
+// Fig. 7.
+func (s *State) dfsGc(start CompID, fwd bool, bound float64, bit uint8) []CompID {
+	s.flag(start, bit)
+	seen := []CompID{start}
 	stack := []CompID{start}
 	for len(stack) > 0 {
 		c := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		s.meter.AddNodes(1)
-		var adj map[CompID]int
+		adj := &s.comps[c].in
 		if fwd {
-			adj = s.gcOut[c]
-		} else {
-			adj = s.gcIn[c]
+			adj = &s.comps[c].out
 		}
-		for o := range adj {
+		adj.forEach(func(o CompID, _ int32) bool {
 			s.meter.AddEdges(1)
-			if !seen[o] && admit(o) {
-				seen[o] = true
+			if s.has(o, bit) {
+				return true
+			}
+			if r := s.comps[o].rank; (fwd && r >= bound) || (!fwd && r <= bound) {
+				s.flag(o, bit)
+				seen = append(seen, o)
 				stack = append(stack, o)
 			}
-		}
+			return true
+		})
 	}
 	return seen
 }
 
 // processInterInsert registers the inter-component edge (cv, cw) in G_c and
-// restores the rank invariant (Fig. 7 lines 3–9). It returns the merged
-// component's ID when a cycle forced a merge, else nil.
-func (s *State) processInterInsert(cv, cw CompID, dt *deltaTracker) *CompID {
+// restores the rank invariant (Fig. 7 lines 3–9).
+func (s *State) processInterInsert(cv, cw CompID) {
 	s.meter.AddEntries(1)
-	if s.gcOut[cv][cw] > 0 {
-		// Multiplicity bump; ranks already consistent.
-		s.gcOut[cv][cw]++
-		s.gcIn[cw][cv]++
-		return nil
-	}
-	s.gcOut[cv][cw] = 1
-	s.gcIn[cw][cv] = 1
-	rv, rw := s.rank[cv], s.rank[cw]
-	if rv > rw {
-		return nil // Fig. 7 line 3: order already correct
+	fresh := s.comps[cv].out.count(cw) == 0
+	s.gcAdd(cv, cw, 1)
+	rv, rw := s.comps[cv].rank, s.comps[cw].rank
+	if !fresh || rv > rw {
+		return // multiplicity bump, or Fig. 7 line 3: order already correct
 	}
 	// Fig. 7 line 5: bounded bidirectional search. Forward from cw keeps
 	// ranks ≥ rank(cv) (only cv itself has rank(cv)); backward from cv
 	// keeps ranks ≤ rank(cw).
-	affr := s.dfsGc(cw, true, func(z CompID) bool { return s.rank[z] >= rv })
-	affl := s.dfsGc(cv, false, func(z CompID) bool { return s.rank[z] <= rw })
-	cand := make([]CompID, 0, len(affr)+len(affl))
-	for z := range affr {
-		cand = append(cand, z)
-	}
-	for z := range affl {
-		if !affr[z] {
+	s.stamp()
+	affr := s.dfsGc(cw, true, rv, inFwd)
+	affl := s.dfsGc(cv, false, rw, inBwd)
+	cand := slices.Clone(affr)
+	for _, z := range affl {
+		if !s.has(z, inFwd) {
 			cand = append(cand, z)
 		}
 	}
 	slices.Sort(cand)
-	candSet := make(map[CompID]bool, len(cand))
-	for _, z := range cand {
-		candSet[z] = true
-	}
 	// Fig. 7 line 6: Tarjan on the affected area (new edge included, it is
-	// already in gcOut).
-	res := Run(cand, func(c CompID, yield func(CompID) bool) {
-		for o := range s.gcOut[c] {
-			if candSet[o] {
-				if !yield(o) {
-					return
-				}
-			}
-		}
-	})
-	var cycle []CompID
-	for _, comp := range res.Comps {
-		if len(comp) > 1 {
-			cycle = comp
-			break // all cycles pass through (cv,cw): at most one non-singleton
-		}
+	// already in G_c).
+	for i, z := range cand {
+		s.comps[z].local = int32(i)
 	}
+	k := &s.k
+	k.reset(len(cand))
+	for _, z := range cand {
+		s.comps[z].out.forEach(func(o CompID, _ int32) bool {
+			if s.has(o, inFwd|inBwd) {
+				k.adj = append(k.adj, s.comps[o].local)
+			}
+			return true
+		})
+		k.mark()
+	}
+	k.run()
 	pool := make([]float64, 0, len(cand))
 	for _, z := range cand {
-		pool = append(pool, s.rank[z])
+		pool = append(pool, s.comps[z].rank)
 	}
 	slices.Sort(pool)
-	if cycle == nil {
-		s.reallocRank(affr, affl, pool)
-		return nil
+	for i := 0; i < k.numComps(); i++ {
+		// All cycles pass through (cv,cw): at most one non-singleton.
+		if p := k.part(i); len(p) > 1 {
+			cycle := make([]CompID, len(p))
+			for j, li := range p {
+				cycle[j] = cand[li]
+				s.flag(cycle[j], inCycle)
+			}
+			s.mergeComps(cycle, affr, affl, pool)
+			return
+		}
 	}
-	id := s.mergeComps(cycle, affr, affl, pool, dt)
-	return &id
+	s.reallocRank(affr, affl, pool)
 }
 
-// byRank returns the members of set \ excl sorted by ascending rank.
-func (s *State) byRank(set map[CompID]bool, excl map[CompID]bool) []CompID {
+// byRank returns the components of set outside the cycle being merged,
+// sorted by ascending rank.
+func (s *State) byRank(set []CompID) []CompID {
 	out := make([]CompID, 0, len(set))
-	for c := range set {
-		if excl == nil || !excl[c] {
+	for _, c := range set {
+		if !s.has(c, inCycle) {
 			out = append(out, c)
 		}
 	}
-	slices.SortFunc(out, func(a, b CompID) int { return cmp.Compare(s.rank[a], s.rank[b]) })
+	slices.SortFunc(out, func(a, b CompID) int { return cmp.Compare(s.comps[a].rank, s.comps[b].rank) })
 	return out
 }
 
 // reallocRank implements Fig. 7 line 9: the pooled old ranks are reassigned
 // in ascending order, first to aff_r (the forward region, which must sink
 // below), then to aff_l, preserving relative order inside each region.
-func (s *State) reallocRank(affr, affl map[CompID]bool, pool []float64) {
-	rs := s.byRank(affr, nil)
-	ls := s.byRank(affl, nil)
+func (s *State) reallocRank(affr, affl []CompID, pool []float64) {
 	i := 0
-	for _, c := range rs {
-		s.rank[c] = pool[i]
-		i++
-		s.meter.AddEntries(1)
-	}
-	for _, c := range ls {
-		s.rank[c] = pool[i]
+	for _, c := range append(s.byRank(affr), s.byRank(affl)...) {
+		s.comps[c].rank = pool[i]
 		i++
 		s.meter.AddEntries(1)
 	}
@@ -679,77 +706,69 @@ func (s *State) reallocRank(affr, affl map[CompID]bool, pool []float64) {
 
 // mergeComps merges the cycle components into one (Fig. 7 lines 7–8),
 // placing the merged node between the forward and backward regions and
-// retiring surplus rank values.
-func (s *State) mergeComps(cycle []CompID, affr, affl map[CompID]bool, pool []float64, dt *deltaTracker) CompID {
-	cycleSet := make(map[CompID]bool, len(cycle))
-	for _, c := range cycle {
-		cycleSet[c] = true
-	}
-	rs := s.byRank(affr, cycleSet) // aff_r \ C
-	ls := s.byRank(affl, cycleSet) // aff_l \ C
+// retiring surplus rank values. The largest cycle component keeps its ID,
+// so only the other components' members are relinked and only their G_c
+// edges are moved.
+func (s *State) mergeComps(cycle, affr, affl []CompID, pool []float64) {
+	rs := s.byRank(affr) // aff_r \ C
+	ls := s.byRank(affl) // aff_l \ C
 	// Reassign: aff_r\C take the smallest pool values, the merged node the
 	// next one, aff_l\C the largest; the middle |C|-1 values retire.
 	for _, v := range pool {
 		s.reg.remove(v)
 	}
 	for i, c := range rs {
-		s.rank[c] = pool[i]
+		s.comps[c].rank = pool[i]
 		s.reg.insert(pool[i])
 		s.meter.AddEntries(1)
 	}
 	mergedRank := pool[len(rs)]
 	for j, c := range ls {
 		v := pool[len(pool)-len(ls)+j]
-		s.rank[c] = v
+		s.comps[c].rank = v
 		s.reg.insert(v)
 		s.meter.AddEntries(1)
 	}
-	// Build the merged component.
-	id := s.next
-	s.next++
-	set := make(map[graph.NodeID]struct{})
-	newOut := make(map[CompID]int)
-	newIn := make(map[CompID]int)
+	keep := cycle[0]
 	for _, c := range cycle {
-		for o, n := range s.gcOut[c] {
-			delete(s.gcIn[o], c)
-			if !cycleSet[o] {
-				newOut[o] += n
+		s.destroy(c)
+		if sz, ksz := s.comps[c].size, s.comps[keep].size; sz > ksz || (sz == ksz && c < keep) {
+			keep = c
+		}
+	}
+	for _, c := range cycle {
+		if c == keep {
+			continue
+		}
+		cr := &s.comps[c]
+		cr.out.forEach(func(o CompID, n int32) bool {
+			s.comps[o].in.del(c)
+			if !s.has(o, inCycle) {
+				s.gcAdd(keep, o, n)
 			}
-		}
-		for i, n := range s.gcIn[c] {
-			delete(s.gcOut[i], c)
-			if !cycleSet[i] {
-				newIn[i] += n
+			return true
+		})
+		cr.in.forEach(func(i CompID, n int32) bool {
+			s.comps[i].out.del(c)
+			if !s.has(i, inCycle) {
+				s.gcAdd(i, keep, n)
 			}
+			return true
+		})
+		s.meter.AddEntries(int(cr.size))
+		for cr.head >= 0 {
+			sl := cr.head
+			s.unlink(sl)
+			s.link(keep, sl)
 		}
-		for v := range s.members[c] {
-			set[v] = struct{}{}
-			s.comp[v] = id
-		}
-		dt.destroy(c, s.members[c])
-		delete(s.members, c)
-		delete(s.gcOut, c)
-		delete(s.gcIn, c)
-		delete(s.rank, c)
-		delete(s.dirty, c)
+		s.freeComp(c)
 	}
-	s.members[id] = set
-	s.gcOut[id] = newOut
-	s.gcIn[id] = newIn
-	for o, n := range newOut {
-		s.gcIn[o][id] = n
-	}
-	for i, n := range newIn {
-		s.gcOut[i][id] = n
-	}
-	s.rank[id] = mergedRank
+	kr := &s.comps[keep]
+	kr.rank = mergedRank
 	s.reg.insert(mergedRank)
-	dt.create(id)
-	s.meter.AddEntries(len(set))
-	// The num/lowlink refresh of the new component (Fig. 7 line 8) is
+	// The num/lowlink refresh of the merged component (Fig. 7 line 8) is
 	// deferred like intra insertions: a chain of k merges would otherwise
 	// pay k scoped Tarjans over a growing component.
-	s.dirty[id] = true
-	return id
+	kr.dirty = true
+	s.create(keep)
 }

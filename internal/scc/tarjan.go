@@ -5,6 +5,38 @@
 // counters and topological ranks), and the relatively bounded incremental
 // algorithms IncSCC+ (Fig. 7), IncSCC− and batch IncSCC, plus the DynSCC
 // baseline used in the experiments.
+//
+// # State layout
+//
+// State keeps no per-node or per-component map. The graph gives every
+// node a dense slot (graph.Graph.Slot), and the state keeps one record
+// per slot: the node's component, its Tarjan fields (num, lowlink, desc,
+// DFS parent as a slot) and its links in its component's circular member
+// list. Components are dense indices into a table, with a free list; each
+// entry holds the member list's head and size, the topological rank, and
+// its in- and out-edges in G_c as (neighbor, multiplicity) vectors that
+// turn into maps only past 32 neighbors. The live rank values sit in a
+// treap over one slice. Build runs one array Tarjan (the kernel that also
+// serves Components, the batch baseline) over a compact successor array
+// and counts G_c from it with a per-component stamp instead of a map or
+// a sort.
+//
+// # Cost of the structural updates
+//
+// Every step of IncSCC touches only the affected area AFF:
+//
+//   - A split runs Tarjan scoped to the component (the paper's IncSCC−
+//     fallback). The largest part keeps the component's ID, so only the
+//     members of the other parts are relinked, and only the G_c edges at
+//     those members move: O(|moved| + their degree), not O(|component|)
+//     or the component's G_c degree.
+//   - A merge keeps the largest cycle component's ID and moves the
+//     members and G_c edges of the others onto it, so its cost follows
+//     the smaller components, not the largest.
+//   - The rank registry answers insert, remove, predecessor and max in
+//     O(log |components|) expected time; a split or merge changes O(|AFF|)
+//     ranks, so no update costs O(|components|). Only float exhaustion of
+//     a rank window renumbers all of G_c, as it always has.
 package scc
 
 import "sort"

@@ -1,6 +1,7 @@
 package scc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -209,5 +210,44 @@ func TestTarjanDeepRecursionSafe(t *testing.T) {
 	res := Run(g.NodesSorted(), adj(g))
 	if len(res.Comps) != 1 || len(res.Comps[0]) != n {
 		t.Fatalf("giant cycle not one scc: %d comps", len(res.Comps))
+	}
+}
+
+// TestSparseNodeIDs covers graphs whose IDs are too sparse for the
+// ID-indexed lookup of the kernel's load (negative, far apart, and at
+// both ends of the int64 range, where the ID span overflows a signed
+// difference): Components must match Kosaraju, and a state built on the
+// graph must stay exact through updates.
+func TestSparseNodeIDs(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 5 + rng.Intn(30)
+		ids := make([]graph.NodeID, n)
+		for i := range ids {
+			ids[i] = graph.NodeID(rng.Int63n(1<<60) - 1<<59)
+		}
+		if seed%2 == 0 {
+			ids[0], ids[1] = math.MinInt64+1, math.MaxInt64-1
+		}
+		g := graph.New()
+		for _, v := range ids {
+			g.AddNode(v, "x")
+		}
+		for i := rng.Intn(3 * n); i > 0; i-- {
+			g.AddEdge(ids[rng.Intn(n)], ids[rng.Intn(n)])
+		}
+		if got, want := Components(g), kosaraju(g); !partitionsEqual(got, want) {
+			t.Fatalf("seed %d: tarjan %v, kosaraju %v", seed, got, want)
+		}
+		if seed%2 == 0 {
+			continue // new IDs above MaxInt64-1 would overflow
+		}
+		s := mustState(t, g.Clone())
+		if _, err := s.Apply(randomMutation(rng, g, 15)); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
 	}
 }

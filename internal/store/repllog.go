@@ -166,8 +166,8 @@ func openShardLog(fsys FS, path string) (*shardLog, int, error) {
 		if length > maxWALRecord {
 			break
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		payload, err := readPayload(f, int(length))
+		if err != nil {
 			break // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != crc {

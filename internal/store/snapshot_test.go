@@ -81,38 +81,33 @@ func TestSnapshotDeterministic(t *testing.T) {
 	}
 }
 
+// corruptSnapshots derives broken snapshots from a good one: a flipped
+// byte in the last segment (the CRC must catch it), a wrong magic, a
+// future version, and a file truncated to half.
+func corruptSnapshots(good []byte) map[string][]byte {
+	flip := func(i int, b byte) []byte {
+		bad := append([]byte(nil), good...)
+		bad[i] = b
+		return bad
+	}
+	return map[string][]byte{
+		"corrupt segment": flip(len(good)-1, good[len(good)-1]^0xFF),
+		"bad magic":       flip(0, 'X'),
+		"unknown version": flip(8, 99),
+		"truncated":       good[:len(good)/2],
+	}
+}
+
 func TestSnapshotRejectsCorruption(t *testing.T) {
 	g := testGraph(t, 2, 100, 400)
 	var buf bytes.Buffer
 	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	good := buf.Bytes()
-
-	// Flip a byte in the last segment: CRC must catch it.
-	bad := append([]byte(nil), good...)
-	bad[len(bad)-1] ^= 0xFF
-	if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("want CRC error for corrupt segment")
-	}
-
-	// Wrong magic.
-	bad = append([]byte(nil), good...)
-	bad[0] = 'X'
-	if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("want error for bad magic")
-	}
-
-	// Future version.
-	bad = append([]byte(nil), good...)
-	bad[8] = 99
-	if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
-		t.Fatal("want error for unknown version")
-	}
-
-	// Truncated file.
-	if _, err := ReadSnapshot(bytes.NewReader(good[:len(good)/2]), int64(len(good)/2)); err == nil {
-		t.Fatal("want error for truncated snapshot")
+	for name, bad := range corruptSnapshots(buf.Bytes()) {
+		if _, err := ReadSnapshot(bytes.NewReader(bad), int64(len(bad))); err == nil {
+			t.Fatalf("%s: want an error", name)
+		}
 	}
 }
 

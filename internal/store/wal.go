@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 
 	"incgraph/internal/graph"
 )
@@ -223,8 +224,8 @@ func replay(f io.Reader) ([]ReplayRecord, int64, uint64, error) {
 		if length > maxWALRecord {
 			break // implausible length: corrupt frame
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		payload, err := readPayload(f, int(length))
+		if err != nil {
 			break // torn payload
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
@@ -242,6 +243,27 @@ func replay(f io.Reader) ([]ReplayRecord, int64, uint64, error) {
 		end += 8 + int64(length)
 	}
 	return records, end, startGen, nil
+}
+
+// payloadChunk is the read granularity of readPayload.
+const payloadChunk = 1 << 16
+
+// readPayload reads an n-byte record payload. The length comes from an
+// unchecksummed frame header, so the buffer grows with the bytes actually
+// read instead of being sized up front: a corrupt length near
+// maxWALRecord costs what the file holds, not a gigabyte.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, payloadChunk))
+	for len(buf) < n {
+		k := min(n-len(buf), max(len(buf), payloadChunk))
+		buf = slices.Grow(buf, k)
+		m, err := io.ReadFull(r, buf[len(buf):len(buf)+k])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 // appendFramedRecord appends one complete framed record — header plus

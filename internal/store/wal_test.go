@@ -1,12 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"incgraph/internal/graph"
@@ -147,31 +149,41 @@ func TestWALTornTail(t *testing.T) {
 	}
 }
 
-// TestWALCorruptRecordNeverFatal hand-crafts CRC-valid but undecodable
-// records — a label length near 2^64 (the overflow probe) and an
-// implausible update count — and requires recovery to truncate at them
-// rather than panic or over-allocate.
-func TestWALCorruptRecordNeverFatal(t *testing.T) {
-	mkPayload := func(poison func(p []byte) []byte) []byte {
+// corruptWALPayloads returns CRC-valid but undecodable record payloads
+// (record #2, generation 0): a label length near 2^64 (the overflow
+// probe) and an implausible update count.
+func corruptWALPayloads() map[string][]byte {
+	head := func() []byte {
 		var p []byte
 		p = binary.LittleEndian.AppendUint64(p, 2) // seq (record #2)
 		p = binary.LittleEndian.AppendUint64(p, 0) // gen
-		return poison(p)
+		return p
 	}
-	cases := map[string]func(p []byte) []byte{
-		"huge label length": func(p []byte) []byte {
-			p = binary.AppendUvarint(p, 1)          // one update
-			p = append(p, 0)                        // insert
-			p = binary.AppendVarint(p, 1)           // from
-			p = binary.AppendVarint(p, 2)           // to
-			p = binary.AppendUvarint(p, ^uint64(0)) // from-label length: 2^64-1
-			return p
-		},
-		"huge update count": func(p []byte) []byte {
-			return binary.AppendUvarint(p, ^uint64(0)>>1)
-		},
+	p := head()
+	p = binary.AppendUvarint(p, 1)          // one update
+	p = append(p, 0)                        // insert
+	p = binary.AppendVarint(p, 1)           // from
+	p = binary.AppendVarint(p, 2)           // to
+	p = binary.AppendUvarint(p, ^uint64(0)) // from-label length: 2^64-1
+	return map[string][]byte{
+		"huge label length": p,
+		"huge update count": binary.AppendUvarint(head(), ^uint64(0)>>1),
 	}
-	for name, poison := range cases {
+}
+
+// frameWALPayload frames a payload as the WAL does: length, CRC, bytes.
+func frameWALPayload(payload []byte) []byte {
+	var frame []byte
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	return append(frame, payload...)
+}
+
+// TestWALCorruptRecordNeverFatal appends the corruptWALPayloads records
+// after one good record and requires recovery to truncate at them rather
+// than panic or over-allocate.
+func TestWALCorruptRecordNeverFatal(t *testing.T) {
+	for name, payload := range corruptWALPayloads() {
 		t.Run(name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "wal.log")
 			w, err := CreateWAL(path, 0, SyncAlways)
@@ -184,16 +196,11 @@ func TestWALCorruptRecordNeverFatal(t *testing.T) {
 			goodEnd := w.Size()
 			w.Close()
 
-			payload := mkPayload(poison)
 			f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var frame []byte
-			frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-			frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-			frame = append(frame, payload...)
-			if _, err := f.Write(frame); err != nil {
+			if _, err := f.Write(frameWALPayload(payload)); err != nil {
 				t.Fatal(err)
 			}
 			f.Close()
@@ -290,4 +297,34 @@ func mustCreate(t *testing.T, path string) *os.File {
 		t.Fatal(err)
 	}
 	return f
+}
+
+// TestWALHugeFrameLengthReadsOnlyWhatExists pins the payload read of
+// replay and of the replica-log open: a torn frame whose length field
+// claims close to maxWALRecord must end the prefix after reading the few
+// bytes present, without sizing a buffer by the claimed length.
+func TestWALHugeFrameLengthReadsOnlyWhatExists(t *testing.T) {
+	var hdr []byte
+	hdr = append(hdr, walMagic[:]...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, WALVersion)
+	hdr = binary.LittleEndian.AppendUint64(hdr, 0)
+	data, err := appendFramedRecord(hdr, 1, 0, graph.Batch{graph.InsNew(1, 2, "a", "b")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	goodEnd := int64(len(data))
+	data = binary.LittleEndian.AppendUint32(data, maxWALRecord-1)
+	data = binary.LittleEndian.AppendUint32(data, 0)
+	data = append(data, "only a few bytes follow"...)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	records, end, _, err := replay(bytes.NewReader(data))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(records) != 1 || end != goodEnd {
+		t.Fatalf("replay = %d records to %d (%v), want 1 to %d", len(records), end, err, goodEnd)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("replay allocated %d bytes for a %d-byte log", grew, len(data))
+	}
 }
